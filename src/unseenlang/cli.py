@@ -8,9 +8,9 @@ Environment variables are never consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, conllu, corpus, metrics, ner, scripts, splits, taxonomy, translit
@@ -22,6 +22,13 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
+
+
+def _open_text(path: str):
+    """Context manager over the text stream of ``path``; stdin stays open."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, encoding="utf-8")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -63,12 +70,8 @@ def _cmd_translit(args) -> int:
         if args.out in (None, "-") or (out_dir.exists() and not out_dir.is_dir()):
             raise ValueError("--out must be a directory when multiple inputs are given")
         out_dir.mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            texts = list(pool.map(_read_text, inputs))
-            results = list(
-                pool.map(lambda t: _transliterate_text(t, args.format, rs, not args.no_lemmas), texts)
-            )
-        for path, result in zip(inputs, results):
+        for path in inputs:
+            result = _transliterate_text(_read_text(path), args.format, rs, not args.no_lemmas)
             (out_dir / Path(path).name).write_text(result, encoding="utf-8")
         return 0
     text = _read_text(inputs[0])
@@ -115,8 +118,14 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_scriptdist(args) -> int:
-    tokens = scripts.read_vocab(_read_text(args.inp).splitlines(keepends=True))
-    dist = scripts.script_distribution(tokens, subword_prefix=args.subword_prefix)
+    # Streamed line by line. A line read ends at "\n" and no "\r\n" spans
+    # two of them, so splitting each again with str.splitlines equals
+    # splitting the whole text at once.
+    with _open_text(args.inp) as f:
+        lines = (part for line in f for part in line.splitlines(keepends=True))
+        dist = scripts.script_distribution(
+            scripts.read_vocab(lines), subword_prefix=args.subword_prefix
+        )
     _write_text(args.out, dist.to_tsv())
     return 0
 
@@ -138,7 +147,6 @@ def _cmd_split(args) -> int:
         if args.runs_out:
             run_lines = []
             for run, test_fold, dev_fold in splits.cv_runs(plan, assignment):
-                used = {test_fold} | ({dev_fold} if dev_fold is not None else set())
                 for fold in range(plan.k):
                     if fold == test_fold:
                         role = "test"
@@ -257,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("raw", "conllu", "ner"), default="raw")
     p.add_argument("--no-lemmas", action="store_true", help="leave CoNLL-U lemmas untouched")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for multiple inputs")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; inputs are processed in order, one at a time",
+    )
     p.set_defaults(func=_cmd_translit)
 
     p = sub.add_parser("rules-validate", help="validate a transliteration ruleset")

@@ -161,12 +161,16 @@ def eval_ner(gold: Sequence[NerSentence], pred: Sequence[NerSentence]) -> NerSco
 
 def aggregate_runs(scores: Iterable[float]) -> RunAggregate:
     """Arithmetic mean and population standard deviation over per-seed
-    scores (five seeds in the reference protocol)."""
+    scores (five seeds in the reference protocol).
+
+    The mean is clamped into ``[min(scores), max(scores)]``: float rounding
+    can put it one ulp outside, e.g. ``fmean([21.91112683982869] * 3)``.
+    """
     scores = tuple(scores)
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
     return RunAggregate(
         scores=scores,
-        mean=statistics.fmean(scores),
+        mean=min(max(statistics.fmean(scores), min(scores)), max(scores)),
         sd=statistics.pstdev(scores),
     )

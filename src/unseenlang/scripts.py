@@ -8,10 +8,9 @@ decomposed encodings of the same string behave identically.
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import regex
 
@@ -136,17 +135,49 @@ def script_distribution(
     return dist
 
 
+# Vote slots follow TIE_ORDER, so the first maximum of a vote list is the
+# tie-break winner; the Common slot comes last and is left out of the vote.
+_BY_TIE = sorted(TIE_ORDER, key=TIE_ORDER.__getitem__)
+_COMMON = TIE_ORDER[ScriptClass.COMMON]
+_ASCII_LETTER = regex.compile(r"[A-Za-z]")
+
+# grapheme -> TIE_ORDER index of classify_script(grapheme). Graphemes repeat
+# across a vocabulary, so this is filled on first sight and then read; the
+# cap keeps input full of distinct mark clusters from growing it without
+# limit (past it, graphemes are classified on every sight).
+_CLASS_MEMO: dict[str, int] = {}
+_CLASS_MEMO_MAX = 8192
+
+
 def _token_class(token: str) -> ScriptClass:
-    votes: Counter[ScriptClass] = Counter()
-    for g in segment_graphemes(token):
-        cls = classify_script(g)
-        if cls is not ScriptClass.COMMON:
-            votes[cls] += 1
-    if not votes:
-        return ScriptClass.COMMON
-    return min(votes, key=lambda cls: (-votes[cls], TIE_ORDER[cls]))
+    """Majority class of ``token``'s non-Common graphemes (see
+    :func:`script_distribution`).
+
+    The token is normalised to NFC once and segmented directly. Each
+    grapheme's class is read from ``_CLASS_MEMO``, which holds at most
+    ``_CLASS_MEMO_MAX`` graphemes and takes its values only from
+    :func:`classify_script`. An ASCII token skips both: in ASCII only the
+    letters are Latin and everything else is Common.
+    """
+    if token.isascii():
+        return ScriptClass.LATIN if _ASCII_LETTER.search(token) else ScriptClass.COMMON
+    votes = [0] * len(_BY_TIE)
+    memo = _CLASS_MEMO
+    for g in _GRAPHEME_RE.findall(unicodedata.normalize("NFC", token)):
+        idx = memo.get(g)
+        if idx is None:
+            idx = TIE_ORDER[classify_script(g)]
+            if len(memo) < _CLASS_MEMO_MAX:
+                memo[g] = idx
+        votes[idx] += 1
+    best = max(votes[:_COMMON])
+    return _BY_TIE[votes.index(best)] if best else ScriptClass.COMMON
 
 
-def read_vocab(lines: Iterable[str]) -> list[str]:
-    """Read a one-token-per-line vocabulary file, keeping line content as-is."""
-    return [line.rstrip("\n") for line in lines if line.rstrip("\n")]
+def read_vocab(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the tokens of a one-token-per-line vocabulary, keeping line
+    content as-is apart from the final newline and skipping empty lines."""
+    for line in lines:
+        token = line.rstrip("\n")
+        if token:
+            yield token

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .scripts import ScriptClass, segment_graphemes
+from .scripts import _GRAPHEME_RE, ScriptClass, segment_graphemes
 
 __all__ = [
     "Rule",
@@ -124,14 +124,15 @@ class RuleSet:
             and unicodedata.category(rule.lhs) == "Cf"
         }
         self._strip_table = str.maketrans({ch: None for ch in strip})
-        # (first grapheme) -> candidate rules sorted longest-lhs first,
-        # then file order; used by the matcher.
-        index: dict[str, list[tuple[int, Rule, tuple[str, ...]]]] = {}
-        for order, rule in enumerate(self.rules):
-            gs = tuple(segment_graphemes(rule.lhs))
-            index.setdefault(gs[0], []).append((order, rule, gs))
+        # (first grapheme) -> candidates (rule, lhs graphemes, their count,
+        # their length in chars), longest lhs first, then file order; used
+        # by the matcher.
+        index: dict[str, list[tuple[Rule, list[str], int, int]]] = {}
+        for rule in self.rules:
+            gs = segment_graphemes(rule.lhs)
+            index.setdefault(gs[0], []).append((rule, gs, len(gs), sum(map(len, gs))))
         for cands in index.values():
-            cands.sort(key=lambda item: (-len(item[2]), item[0]))
+            cands.sort(key=lambda cand: -cand[2])
         self._index = index
 
 
@@ -238,53 +239,48 @@ def transliterate(text: str, rs: RuleSet) -> str:
     grapheme position the applicable rule with the longest lhs wins (file
     order breaks ties); contexts are matched against the original text,
     never against already-emitted output. Unmatched graphemes pass through.
+
+    The text is normalized once; it is normalized again only when the
+    ruleset's format-character strip removed something, since that can
+    join characters that NFC composes.
     """
     if not rs.validated:
         raise ValueError(
             f"ruleset {rs.name!r} has not passed validation; run validate_ruleset first"
         )
-    text = unicodedata.normalize("NFC", text).translate(rs._strip_table)
-    graphemes = segment_graphemes(text)
-    # char offset of each grapheme boundary, for context matching
-    offsets = [0]
-    for g in graphemes:
-        offsets.append(offsets[-1] + len(g))
+    nfc = unicodedata.normalize("NFC", text)
+    text = nfc.translate(rs._strip_table)
+    if len(text) != len(nfc):
+        nfc = unicodedata.normalize("NFC", text)
+    graphemes = _GRAPHEME_RE.findall(nfc)
+    index = rs._index
     out: list[str] = []
+    append = out.append
+    n = len(graphemes)
     i = 0
-    n = len(graphemes)
+    pos = 0  # char offset of graphemes[i], for context matching
     while i < n:
-        match = _best_match(rs, graphemes, offsets, text, i)
-        if match is None:
-            out.append(graphemes[i])
-            i += 1
-        else:
-            rule, length = match
-            out.append(rule.rhs)
+        g = graphemes[i]
+        for rule, lhs, length, width in index.get(g, ()):
+            if length > 1 and graphemes[i : i + length] != lhs:
+                continue
+            if rule.left_context is not None and not text.endswith(
+                rule.left_context, 0, pos
+            ):
+                continue
+            if rule.right_context is not None and not text.startswith(
+                rule.right_context, pos + width
+            ):
+                continue
+            append(rule.rhs)
             i += length
+            pos += width
+            break
+        else:
+            append(g)
+            i += 1
+            pos += len(g)
     return "".join(out)
-
-
-def _best_match(rs, graphemes, offsets, text, i):
-    cands = rs._index.get(graphemes[i])
-    if not cands:
-        return None
-    n = len(graphemes)
-    for _, rule, lhs_gs in cands:
-        length = len(lhs_gs)
-        if i + length > n:
-            continue
-        if tuple(graphemes[i : i + length]) != lhs_gs:
-            continue
-        if rule.left_context is not None and not text.endswith(
-            rule.left_context, 0, offsets[i]
-        ):
-            continue
-        if rule.right_context is not None and not text.startswith(
-            rule.right_context, offsets[i + length]
-        ):
-            continue
-        return rule, length
-    return None
 
 
 def transliterate_tokens(tokens, rs: RuleSet) -> list[str]:

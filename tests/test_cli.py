@@ -1,8 +1,12 @@
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unseenlang.cli import run
+from unseenlang.scripts import script_distribution
 
 CONLLU = (
     "1\tмон\tмон\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
@@ -142,6 +146,54 @@ class TestPipelineCommands:
     def test_split_standard(self, capsys):
         rc, out, _ = invoke(capsys, "split", "--n", "1000")
         assert rc == 0 and "strategy\tstandard" in out
+
+
+def whole_text_tsv(text: str) -> str:
+    """scriptdist's output computed from the whole text split at once."""
+    tokens = [
+        line.rstrip("\n") for line in text.splitlines(keepends=True) if line.rstrip("\n")
+    ]
+    return script_distribution(tokens, subword_prefix="##").to_tsv()
+
+
+# Tokens, the subword marker and every line boundary str.splitlines knows.
+VOCAB = st.lists(
+    st.sampled_from(
+        ["a", "ш", "##", "7", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+         "\x1e", "\x85", "\u2028", "\u2029"]
+    ),
+    max_size=20,
+).map("".join)
+FIXTURE_SETTINGS = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestScriptdistStreaming:
+    @FIXTURE_SETTINGS
+    @given(VOCAB)
+    @example("")
+    @example("abc\n\n\nгде\n")
+    @example("abc\r\n##ing\r\n\r\nгде")
+    @example("a\rш\r\r7")
+    @example("a\x0cш\n\x0c\n##\u2028ш\x85x\n")
+    def test_file_matches_whole_text_split(self, tmp_path, capsys, text):
+        src = tmp_path / "vocab.txt"
+        src.write_bytes(text.encode("utf-8"))
+        rc, out, _ = invoke(capsys, "scriptdist", "--in", str(src))
+        assert rc == 0
+        assert out == whole_text_tsv(src.read_text(encoding="utf-8"))
+
+    @FIXTURE_SETTINGS
+    @given(VOCAB)
+    @example("abc\r\n##ing\r\n\r\nгде")
+    @example("a\rш\r\x0c\u2028\n\n7")
+    def test_stdin_matches_whole_text_split(self, monkeypatch, capsys, text):
+        # POSIX stdin: UTF-8, lines split at "\n" only, "\r" kept
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        rc, out, _ = invoke(capsys, "scriptdist", "--in", "-")
+        assert rc == 0
+        assert not stdin.closed
+        assert out == whole_text_tsv(text)
 
 
 class TestEval:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unseenlang.conllu import parse_conllu
 from unseenlang.metrics import (
@@ -185,6 +185,7 @@ class TestAggregateRuns:
             aggregate_runs([])
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=10))
+    @example([21.91112683982869] * 3)  # fmean rounds one ulp above the score
     def test_mean_within_range(self, scores):
         agg = aggregate_runs(scores)
         assert min(scores) <= agg.mean <= max(scores)

@@ -1,9 +1,12 @@
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from unseenlang import scripts
 from unseenlang.scripts import (
+    TIE_ORDER,
     ScriptClass,
     classify_script,
     script_distribution,
@@ -98,3 +101,54 @@ class TestScriptDistribution:
         dist = script_distribution(tokens)
         assert dist.total == len(tokens)
         dist.check()
+
+
+def reference_token_class(token: str) -> ScriptClass:
+    """Reference majority vote: a Counter over the non-Common classes of
+    the token's graphemes, ties broken by TIE_ORDER."""
+    votes: Counter[ScriptClass] = Counter()
+    for g in segment_graphemes(token):
+        cls = classify_script(g)
+        if cls is not ScriptClass.COMMON:
+            votes[cls] += 1
+    if not votes:
+        return ScriptClass.COMMON
+    return min(votes, key=lambda cls: (-votes[cls], TIE_ORDER[cls]))
+
+
+# ASCII, letters of the four scripts plus Greek, CJK and Devanagari, Mn
+# marks (acute, hamza above, virama), ZWJ, digits and punctuation.
+TOKEN_ALPHABET = (
+    "aZé" "шЖё" "شها" "აბ" "αΩ" "漢字" "कष" "्́ٔ" "‍" "07٣" ".,-!#"
+)
+
+
+class TestTokenClassDifferential:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.text(alphabet=TOKEN_ALPHABET, max_size=8)),
+            max_size=30,
+        )
+    )
+    def test_matches_reference_vote(self, items):
+        tokens = [("##" if prefixed else "") + body for prefixed, body in items]
+        dist = script_distribution(tokens, subword_prefix="##")
+        want = Counter(
+            reference_token_class(t[2:] if t.startswith("##") else t) for t in tokens
+        )
+        assert dist.counts == {cls: want[cls] for cls in ScriptClass}
+        assert dist.total == len(tokens)
+
+    def test_ascii_fast_path_agrees_with_classify_script(self):
+        for code in range(128):
+            ch = chr(code)
+            assert scripts._token_class(ch) is classify_script(ch), repr(ch)
+            assert scripts._token_class(ch * 3) is reference_token_class(ch * 3), repr(ch)
+
+    def test_memo_is_capped(self, monkeypatch):
+        monkeypatch.setattr(scripts, "_CLASS_MEMO", {})
+        monkeypatch.setattr(scripts, "_CLASS_MEMO_MAX", 4)
+        tokens = [chr(0x4E00 + i) + "́" for i in range(20)]
+        dist = script_distribution(tokens)
+        assert dist.counts[ScriptClass.OTHER] == 20
+        assert len(scripts._CLASS_MEMO) == 4

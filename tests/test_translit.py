@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import unicodedata
 
-from unseenlang.scripts import ScriptClass
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from unseenlang.scripts import ScriptClass, segment_graphemes
 from unseenlang.translit import (
     Rule,
     RuleFileError,
@@ -245,3 +247,107 @@ class TestProperties:
     def test_token_count_preserved(self, tokens):
         rs = load_builtin("cyrillic_latin")
         assert len(transliterate_tokens(tokens, rs)) == len(tokens)
+
+
+def reference_transliterate(text: str, rs: RuleSet) -> str:
+    """Reference matcher: grapheme offsets listed first, then at each
+    position the first applicable candidate of those sorted longest-lhs
+    first, then file order."""
+    index: dict[str, list[tuple[int, Rule, tuple[str, ...]]]] = {}
+    for order, rule in enumerate(rs.rules):
+        gs = tuple(segment_graphemes(rule.lhs))
+        index.setdefault(gs[0], []).append((order, rule, gs))
+    for cands in index.values():
+        cands.sort(key=lambda item: (-len(item[2]), item[0]))
+    text = unicodedata.normalize("NFC", text).translate(rs._strip_table)
+    graphemes = segment_graphemes(text)
+    offsets = [0]
+    for g in graphemes:
+        offsets.append(offsets[-1] + len(g))
+    out: list[str] = []
+    i = 0
+    n = len(graphemes)
+    while i < n:
+        match = _reference_best_match(index, graphemes, offsets, text, i)
+        if match is None:
+            out.append(graphemes[i])
+            i += 1
+        else:
+            rule, length = match
+            out.append(rule.rhs)
+            i += length
+    return "".join(out)
+
+
+def _reference_best_match(index, graphemes, offsets, text, i):
+    cands = index.get(graphemes[i])
+    if not cands:
+        return None
+    n = len(graphemes)
+    for _, rule, lhs_gs in cands:
+        length = len(lhs_gs)
+        if i + length > n:
+            continue
+        if tuple(graphemes[i : i + length]) != lhs_gs:
+            continue
+        if rule.left_context is not None and not text.endswith(
+            rule.left_context, 0, offsets[i]
+        ):
+            continue
+        if rule.right_context is not None and not text.startswith(
+            rule.right_context, offsets[i + length]
+        ):
+            continue
+        return rule, length
+    return None
+
+
+# Source graphemes, including a cluster with a mark and Arabic alef with
+# hamza, which NFC composes from alef + U+0654 once a ZWNJ between them is
+# stripped. Text and contexts are drawn as runs of these pieces.
+LHS_GRAPHEMES = ["а", "б", "ш", "ш́", "أ", "ا"]
+TEXT_PIECES = LHS_GRAPHEMES + ["x", "y", " ", "́", "ٔ", "‌", "ا‌ٔ"]
+TEXT = st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join)
+CONTEXT = st.one_of(
+    st.none(), st.lists(st.sampled_from(TEXT_PIECES), min_size=1, max_size=2).map("".join)
+)
+
+
+@st.composite
+def rulesets(draw) -> RuleSet:
+    rules = draw(
+        st.lists(
+            st.builds(
+                Rule,
+                lhs=st.lists(st.sampled_from(LHS_GRAPHEMES), min_size=1, max_size=3).map("".join),
+                rhs=st.text(alphabet="xyz", max_size=2),
+                left_context=CONTEXT,
+                right_context=CONTEXT,
+            ),
+            max_size=6,
+            unique_by=lambda rule: rule.key,
+        )
+    )
+    if draw(st.booleans()):
+        rules.append(Rule("‌", ""))  # ZWNJ: applied as a character strip
+    return make_ruleset(*rules)
+
+
+class TestDifferential:
+    @settings(max_examples=400)
+    @given(rulesets(), TEXT)
+    # a right context after a one-grapheme, two-char lhs
+    @example(make_ruleset(Rule("ш́", "x", None, "а")), "ш́а")
+    # contexts see the stripped text; NFC then joins alef and hamza in the
+    # graphemes only, so the left context of б is "ا", not "أ"
+    @example(make_ruleset(Rule("б", "x", "أ", None), Rule("‌", "")), "ا‌ٔб")
+    def test_generated_rulesets_match_reference(self, rs, text):
+        assert transliterate(text, rs) == reference_transliterate(text, rs)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(builtin_names()), st.data())
+    def test_builtins_match_reference(self, name, data):
+        rs = load_builtin(name)
+        alphabet = sorted({ch for rule in rs.rules for ch in rule.lhs} | set(" á‌‍ٔ"))
+        text = data.draw(st.text(alphabet=alphabet, max_size=30))
+        assert transliterate(text, rs) == reference_transliterate(text, rs)
