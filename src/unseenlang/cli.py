@@ -39,13 +39,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_ruleset(spec: str) -> translit.RuleSet:
+    """A built-in ruleset name, a rule-file path or ``-`` (stdin)."""
     if spec in translit.builtin_names():
         return translit.load_builtin(spec)
-    rs = translit.parse_ruleset(_read_text(spec))
-    report = translit.validate_ruleset(rs)
-    if not report.ok:
-        raise translit.RuleFileError(f"ruleset {spec} is invalid:\n{report.describe()}")
-    return rs
+    return translit.parse_ruleset(_read_text(spec))
 
 
 def _transliterate_text(text: str, fmt: str, rs, lemmas: bool) -> str:
@@ -64,6 +61,10 @@ def _transliterate_text(text: str, fmt: str, rs, lemmas: bool) -> str:
 
 def _cmd_translit(args) -> int:
     rs = _load_ruleset(args.rules)
+    try:
+        rs.check()
+    except translit.RuleFileError as exc:
+        raise translit.RuleFileError(f"{args.rules}: {exc}") from None
     inputs = args.inputs
     if len(inputs) > 1:
         out_dir = Path(args.out)
@@ -80,12 +81,8 @@ def _cmd_translit(args) -> int:
 
 
 def _cmd_rules_validate(args) -> int:
-    if args.rules in translit.builtin_names():
-        rs = translit.load_builtin(args.rules)
-        report = translit.ValidationReport()
-    else:
-        rs = translit.parse_ruleset(_read_text(args.rules))
-        report = translit.validate_ruleset(rs)
+    rs = _load_ruleset(args.rules)
+    report = translit.validate_ruleset(rs)
     _write_text(args.out, f"{rs.name}\t{len(rs.rules)} rules\t{report.describe()}\n")
     if not report.ok:
         print("validation failed", file=sys.stderr)
@@ -265,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("raw", "conllu", "ner"), default="raw")
     p.add_argument("--no-lemmas", action="store_true", help="leave CoNLL-U lemmas untouched")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted for compatibility; inputs are processed in order, one at a time",
-    )
     p.set_defaults(func=_cmd_translit)
 
     p = sub.add_parser("rules-validate", help="validate a transliteration ruleset")

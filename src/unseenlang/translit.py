@@ -16,13 +16,17 @@ Rule file format (UTF-8, NFC, line-oriented):
 A literal ``∅`` in the RHS field deletes the LHS; in a context field it
 means "no constraint" (needed for an absent right context, since trailing
 whitespace is forbidden).
+
+An unconditional deletion of one format character (ZWNJ, ZWJ) is applied
+as a character strip before matching. Rules and contexts are matched
+against the NFC input after that strip, never against emitted output.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .scripts import _GRAPHEME_RE, ScriptClass, segment_graphemes
@@ -58,7 +62,8 @@ class RuleFileError(ValueError):
 @dataclass(frozen=True)
 class Rule:
     """One rewrite decision: LHS graphemes become RHS, optionally only
-    between the given left/right contexts (matched on the original text)."""
+    between the given left/right contexts (matched on the input, not on
+    emitted output)."""
 
     lhs: str
     rhs: str
@@ -96,20 +101,32 @@ class ValidationReport:
         return "\n".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleSet:
     """Ordered collection of rewrite rules defining one transliteration
-    scheme. ``validated`` is set by :func:`validate_ruleset` on a clean
-    report; :func:`transliterate` refuses unvalidated rulesets."""
+    scheme, as parsed.
+
+    The engine's tables are built in one compile step, once per ruleset
+    object: it runs :func:`validate_ruleset` and raises
+    :class:`RuleFileError` when the report is not clean. :meth:`check`
+    runs that step at once; :func:`transliterate` runs it on first use.
+    """
 
     name: str
     source_scripts: frozenset[ScriptClass]
     target_script: ScriptClass
     rules: tuple[Rule, ...]
     target_language_note: str = ""
-    validated: bool = False
 
-    def __post_init__(self):
+    def check(self) -> None:
+        """Validate and compile now; raises :class:`RuleFileError`."""
+        self._compiled
+
+    @cached_property
+    def _compiled(self) -> tuple[dict, dict[str, list[tuple[Rule, list[str], int, int]]]]:
+        report = validate_ruleset(self)
+        if not report.ok:
+            raise RuleFileError(f"ruleset {self.name} failed validation:\n{report.describe()}")
         # Format characters (ZWNJ/ZWJ) attach to the preceding grapheme
         # cluster, so an unconditional deletion rule for one of them could
         # never match cluster-wise; such rules are applied as a pre-pass
@@ -123,17 +140,15 @@ class RuleSet:
             and len(rule.lhs) == 1
             and unicodedata.category(rule.lhs) == "Cf"
         }
-        self._strip_table = str.maketrans({ch: None for ch in strip})
         # (first grapheme) -> candidates (rule, lhs graphemes, their count,
-        # their length in chars), longest lhs first, then file order; used
-        # by the matcher.
+        # their length in chars), longest lhs first, then file order.
         index: dict[str, list[tuple[Rule, list[str], int, int]]] = {}
         for rule in self.rules:
             gs = segment_graphemes(rule.lhs)
             index.setdefault(gs[0], []).append((rule, gs, len(gs), sum(map(len, gs))))
         for cands in index.values():
             cands.sort(key=lambda cand: -cand[2])
-        self._index = index
+        return str.maketrans({ch: None for ch in strip}), index
 
 
 def parse_ruleset(text: str) -> RuleSet:
@@ -206,8 +221,11 @@ def _script(value: str, lineno: int) -> ScriptClass:
 
 
 def validate_ruleset(rs: RuleSet) -> ValidationReport:
-    """Check structural soundness. An empty report additionally marks the
-    ruleset as validated (usable by the engine).
+    """Check structural soundness; a pure function of the rules.
+
+    The engine uses a ruleset only after a clean report: the compile step
+    of :class:`RuleSet` calls this once per ruleset and raises
+    :class:`RuleFileError` otherwise.
 
     Idempotence condition: no grapheme occurring in any rhs occurs in any
     lhs, so applying the ruleset twice equals applying it once.
@@ -227,33 +245,30 @@ def validate_ruleset(rs: RuleSet) -> ValidationReport:
             if g in lhs_graphemes and g not in flagged:
                 report.idempotence_violations.append(g)
                 flagged.add(g)
-    if report.ok:
-        rs.validated = True
     return report
 
 
 def transliterate(text: str, rs: RuleSet) -> str:
-    """Rewrite ``text`` with a validated ruleset.
+    """Rewrite ``text`` with ``rs``, compiling it on first use.
 
     Single left-to-right pass over the NFC-normalized input. At each
     grapheme position the applicable rule with the longest lhs wins (file
-    order breaks ties); contexts are matched against the original text,
-    never against already-emitted output. Unmatched graphemes pass through.
+    order breaks ties); contexts are matched against the input, never
+    against already-emitted output. Unmatched graphemes pass through.
 
-    The text is normalized once; it is normalized again only when the
-    ruleset's format-character strip removed something, since that can
-    join characters that NFC composes.
+    The ruleset's format-character strip runs first. The text is
+    normalized once; it is normalized again only when the strip removed
+    something, since that can join characters that NFC composes. Graphemes
+    and contexts are both taken from that NFC text after the strip.
+    Raises :class:`RuleFileError` (a ``ValueError``) if ``rs`` fails
+    validation.
     """
-    if not rs.validated:
-        raise ValueError(
-            f"ruleset {rs.name!r} has not passed validation; run validate_ruleset first"
-        )
-    nfc = unicodedata.normalize("NFC", text)
-    text = nfc.translate(rs._strip_table)
-    if len(text) != len(nfc):
-        nfc = unicodedata.normalize("NFC", text)
-    graphemes = _GRAPHEME_RE.findall(nfc)
-    index = rs._index
+    strip_table, index = rs._compiled
+    text = unicodedata.normalize("NFC", text)
+    stripped = text.translate(strip_table)
+    if len(stripped) != len(text):
+        text = unicodedata.normalize("NFC", stripped)
+    graphemes = _GRAPHEME_RE.findall(text)
     out: list[str] = []
     append = out.append
     n = len(graphemes)
@@ -290,14 +305,12 @@ def transliterate_tokens(tokens, rs: RuleSet) -> list[str]:
 
 @lru_cache(maxsize=None)
 def load_builtin(name: str) -> RuleSet:
-    """Load and validate one of the built-in rulesets by name."""
+    """Load, validate and compile one of the built-in rulesets by name."""
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown built-in ruleset {name!r}; have {BUILTIN_NAMES}")
     text = (resources.files(__package__) / "rules" / f"{name}.rules").read_text("utf-8")
     rs = parse_ruleset(text)
-    report = validate_ruleset(rs)
-    if not report.ok:
-        raise RuleFileError(f"built-in ruleset {name} failed validation:\n{report.describe()}")
+    rs.check()
     return rs
 
 

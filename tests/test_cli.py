@@ -83,13 +83,28 @@ class TestTranslit:
         out_dir = tmp_path / "out"
         rc, _, _ = invoke(
             capsys,
-            "translit", "--rules", "cyrillic_latin", "--jobs", "2",
+            "translit", "--rules", "cyrillic_latin",
             "--in", str(tmp_path / "a.txt"), "--in", str(tmp_path / "b.txt"),
             "--out", str(out_dir),
         )
         assert rc == 0
         assert (out_dir / "a.txt").read_text(encoding="utf-8") == "sha\n"
         assert (out_dir / "b.txt").read_text(encoding="utf-8") == "ba\n"
+
+    def test_invalid_rule_file_writes_nothing(self, tmp_path, capsys):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(
+            "@name bad\n@source Cyrillic\n@target Latin\nа\tб\nб\tc\n", encoding="utf-8"
+        )
+        src = tmp_path / "empty.txt"
+        src.write_text("", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        rc, _, err = invoke(
+            capsys, "translit", "--rules", str(rules), "--in", str(src), "--out", str(out)
+        )
+        assert rc == 1
+        assert "bad.rules" in err
+        assert not out.exists()
 
 
 class TestRulesValidate:

@@ -1,8 +1,12 @@
+import dataclasses
 import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from unseenlang.conllu import ConlluSentence, ConlluToken, transliterate_conllu
+from unseenlang import translit
+from unseenlang.ner import NerSentence, transliterate_ner
 from unseenlang.scripts import ScriptClass, segment_graphemes
 from unseenlang.translit import (
     Rule,
@@ -26,8 +30,7 @@ def make_ruleset(*rules: Rule) -> RuleSet:
         target_script=ScriptClass.LATIN,
         rules=tuple(rules),
     )
-    report = validate_ruleset(rs)
-    assert report.ok, report.describe()
+    rs.check()
     return rs
 
 
@@ -80,7 +83,7 @@ class TestValidateRuleset:
     def test_clean(self):
         rs = RuleSet("t", frozenset({ScriptClass.CYRILLIC}), ScriptClass.LATIN, (Rule("а", "b"),))
         assert validate_ruleset(rs).ok
-        assert rs.validated
+        rs.check()
 
     def test_idempotence_violation(self):
         rs = RuleSet(
@@ -91,7 +94,8 @@ class TestValidateRuleset:
         )
         report = validate_ruleset(rs)
         assert report.idempotence_violations == ["б"]
-        assert not rs.validated
+        with pytest.raises(RuleFileError, match="idempotence violation"):
+            rs.check()
 
     def test_duplicate_key(self):
         rs = RuleSet(
@@ -114,10 +118,36 @@ class TestValidateRuleset:
 
 
 class TestEngine:
-    def test_unvalidated_ruleset_rejected(self):
+    def test_invalid_ruleset_rejected(self):
+        rs = RuleSet(
+            "t",
+            frozenset({ScriptClass.CYRILLIC}),
+            ScriptClass.LATIN,
+            (Rule("а", "б"), Rule("б", "c")),
+        )
+        conllu_sent = ConlluSentence(
+            tokens=[ConlluToken(1, "а", "а", "NOUN", "_", "_", 0, "root", "_", "_")]
+        )
+        ner_sent = NerSentence(tokens=("а",), labels=("O",))
+        for call in (
+            lambda: transliterate("а", rs),
+            lambda: transliterate_conllu([conllu_sent], rs),
+            lambda: transliterate_ner([ner_sent], rs),
+        ):
+            with pytest.raises(ValueError, match="idempotence violation: rhs grapheme 'б'"):
+                call()
+
+    def test_compiled_once_per_ruleset(self, monkeypatch):
+        calls = []
+        validate = translit.validate_ruleset
+        monkeypatch.setattr(
+            translit, "validate_ruleset", lambda rs: calls.append(rs) or validate(rs)
+        )
         rs = RuleSet("t", frozenset({ScriptClass.CYRILLIC}), ScriptClass.LATIN, (Rule("а", "a"),))
-        with pytest.raises(ValueError, match="validation"):
-            transliterate("а", rs)
+        rs.check()
+        assert [transliterate("а", rs), transliterate("аа", rs)] == ["a", "aa"]
+        rs.check()
+        assert len(calls) == 1
 
     def test_empty_input(self):
         assert transliterate("", load_builtin("cyrillic_latin")) == ""
@@ -148,6 +178,12 @@ class TestEngine:
     def test_deletion(self):
         rs = make_ruleset(Rule("ъ", ""), Rule("а", "a"))
         assert transliterate("аъа", rs) == "aa"
+
+    def test_context_matches_nfc_after_strip(self):
+        # stripping the ZWNJ lets NFC compose alef + hamza into أ, which
+        # the left context then sees
+        rs = make_ruleset(Rule("ب", "b", left_context="أ"), Rule("\u200c", ""))
+        assert transliterate("ا\u200cٔب", rs) == transliterate("أب", rs) == "أb"
 
     def test_multi_grapheme_context(self):
         rs = make_ruleset(Rule("в", "V", left_context="аб"), Rule("в", "v"))
@@ -206,9 +242,14 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", builtin_names())
     def test_loads_and_validates(self, name):
         rs = load_builtin(name)
-        assert rs.validated
+        rs.check()
         assert rs.name == name
         assert rs.target_script is ScriptClass.LATIN
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            load_builtin(name).rules = ()
 
     @pytest.mark.parametrize(
         "name,word,expected",
@@ -252,14 +293,25 @@ class TestProperties:
 def reference_transliterate(text: str, rs: RuleSet) -> str:
     """Reference matcher: grapheme offsets listed first, then at each
     position the first applicable candidate of those sorted longest-lhs
-    first, then file order."""
+    first, then file order. Unconditional deletions of one format
+    character are stripped from the NFC text beforehand, which is then
+    normalized again."""
     index: dict[str, list[tuple[int, Rule, tuple[str, ...]]]] = {}
     for order, rule in enumerate(rs.rules):
         gs = tuple(segment_graphemes(rule.lhs))
         index.setdefault(gs[0], []).append((order, rule, gs))
     for cands in index.values():
         cands.sort(key=lambda item: (-len(item[2]), item[0]))
-    text = unicodedata.normalize("NFC", text).translate(rs._strip_table)
+    strip = {
+        ord(rule.lhs): None
+        for rule in rs.rules
+        if len(rule.lhs) == 1
+        and unicodedata.category(rule.lhs) == "Cf"
+        and rule.rhs == ""
+        and rule.left_context is None
+        and rule.right_context is None
+    }
+    text = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).translate(strip))
     graphemes = segment_graphemes(text)
     offsets = [0]
     for g in graphemes:
@@ -338,8 +390,8 @@ class TestDifferential:
     @given(rulesets(), TEXT)
     # a right context after a one-grapheme, two-char lhs
     @example(make_ruleset(Rule("ш́", "x", None, "а")), "ш́а")
-    # contexts see the stripped text; NFC then joins alef and hamza in the
-    # graphemes only, so the left context of б is "ا", not "أ"
+    # stripping the ZWNJ lets NFC join alef and hamza, and the left context
+    # of б sees the joined "أ"
     @example(make_ruleset(Rule("б", "x", "أ", None), Rule("‌", "")), "ا‌ٔб")
     def test_generated_rulesets_match_reference(self, rs, text):
         assert transliterate(text, rs) == reference_transliterate(text, rs)
