@@ -1,8 +1,9 @@
 """Command-line entry point wiring all modules into one pipeline tool.
 
 Exit codes: 0 success, 1 data/validation error, 2 usage error. Diagnostics
-go to stderr; data goes to stdout or the ``--out`` target (``-`` = stdout).
-Environment variables are never consulted.
+go to stderr, a data error prefixed with its input's path; data goes to
+stdout or the ``--out`` target (``-`` = stdout), only after every input
+has been read. Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -12,23 +13,26 @@ import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__, conllu, corpus, metrics, ner, scripts, splits, taxonomy, translit
 
 __all__ = ["run", "main"]
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+@contextlib.contextmanager
+def _open_input(path: str) -> Iterator[IO[str]]:
+    """The UTF-8 text stream of ``path``, or stdin for ``-`` (left open).
 
-
-def _open_text(path: str):
-    """Context manager over the text stream of ``path``; stdin stays open."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, encoding="utf-8")
+    A ``ValueError`` raised while the stream is read or parsed, a decode
+    error included, is re-raised with ``path`` in front of its message.
+    """
+    stream = contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
+    try:
+        with stream as f:
+            yield f
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -38,50 +42,48 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_ruleset(spec: str) -> translit.RuleSet:
-    """A built-in ruleset name, a rule-file path or ``-`` (stdin)."""
+def _load_ruleset(spec: str, check: bool) -> translit.RuleSet:
+    """A built-in ruleset name, a rule-file path or ``-`` (stdin); with
+    ``check``, a rule file that fails validation is an error naming it."""
     if spec in translit.builtin_names():
         return translit.load_builtin(spec)
-    return translit.parse_ruleset(_read_text(spec))
+    with _open_input(spec) as f:
+        rs = translit.parse_ruleset(f)
+        if check:
+            rs.check()
+    return rs
 
 
-def _transliterate_text(text: str, fmt: str, rs, lemmas: bool) -> str:
-    if fmt == "raw":
-        return "\n".join(translit.transliterate(line, rs) for line in text.splitlines()) + (
-            "\n" if text else ""
-        )
-    if fmt == "conllu":
-        sents = conllu.parse_conllu(text)
-        return conllu.write_conllu(conllu.transliterate_conllu(sents, rs, lemmas=lemmas))
-    if fmt == "ner":
-        sents = ner.parse_ner(text)
-        return ner.write_ner(ner.transliterate_ner(sents, rs))
-    raise ValueError(f"unknown format {fmt!r}")
+def _transliterate(path: str, fmt: str, rs, lemmas: bool) -> str:
+    with _open_input(path) as f:
+        if fmt == "raw":
+            lines = corpus.read_lines(f)
+            return "".join(translit.transliterate(line, rs) + "\n" for _, line in lines)
+        if fmt == "conllu":
+            sents = conllu.transliterate_conllu(conllu.parse_conllu(f), rs, lemmas=lemmas)
+            return conllu.write_conllu(sents)
+        return ner.write_ner(ner.transliterate_ner(ner.parse_ner(f), rs))
 
 
 def _cmd_translit(args) -> int:
-    rs = _load_ruleset(args.rules)
-    try:
-        rs.check()
-    except translit.RuleFileError as exc:
-        raise translit.RuleFileError(f"{args.rules}: {exc}") from None
+    rs = _load_ruleset(args.rules, check=True)
     inputs = args.inputs
-    if len(inputs) > 1:
-        out_dir = Path(args.out)
-        if args.out in (None, "-") or (out_dir.exists() and not out_dir.is_dir()):
-            raise ValueError("--out must be a directory when multiple inputs are given")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for path in inputs:
-            result = _transliterate_text(_read_text(path), args.format, rs, not args.no_lemmas)
-            (out_dir / Path(path).name).write_text(result, encoding="utf-8")
+    if len(inputs) == 1:
+        _write_text(args.out, _transliterate(inputs[0], args.format, rs, not args.no_lemmas))
         return 0
-    text = _read_text(inputs[0])
-    _write_text(args.out, _transliterate_text(text, args.format, rs, not args.no_lemmas))
+    out_dir = Path(args.out)
+    if args.out == "-" or (out_dir.exists() and not out_dir.is_dir()):
+        raise ValueError("--out must be a directory when multiple inputs are given")
+    # every input is read and transliterated before any output is written
+    results = {path: _transliterate(path, args.format, rs, not args.no_lemmas) for path in inputs}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, text in results.items():
+        (out_dir / Path(path).name).write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_rules_validate(args) -> int:
-    rs = _load_ruleset(args.rules)
+    rs = _load_ruleset(args.rules, check=False)
     report = translit.validate_ruleset(rs)
     _write_text(args.out, f"{rs.name}\t{len(rs.rules)} rules\t{report.describe()}\n")
     if not report.ok:
@@ -91,23 +93,23 @@ def _cmd_rules_validate(args) -> int:
 
 
 def _cmd_corpus_stats(args) -> int:
-    text = _read_text(args.inp)
-    if args.format == "conllu":
-        sents = conllu.parse_conllu(text)
-        n_tokens = sum(len(s.tokens) for s in sents)
-    elif args.format == "ner":
-        sents = ner.parse_ner(text, repair=args.repair)
-        n_tokens = sum(len(s.tokens) for s in sents)
-    else:
-        lines = [l for l in text.splitlines() if l.strip()]
-        sents = lines
-        n_tokens = sum(len(l.split()) for l in lines)
+    with _open_input(args.inp) as f:
+        if args.format == "conllu":
+            sents = conllu.parse_conllu(f)
+            n_tokens = sum(len(s.tokens) for s in sents)
+        elif args.format == "ner":
+            sents = ner.parse_ner(f, repair=args.repair)
+            n_tokens = sum(len(s.tokens) for s in sents)
+        else:
+            sents = [line for _, line in corpus.read_lines(f) if line.strip()]
+            n_tokens = sum(len(line.split()) for line in sents)
     _write_text(args.out, f"sentences\t{len(sents)}\ntokens\t{n_tokens}\n")
     return 0
 
 
 def _cmd_dedup(args) -> int:
-    lines = _read_text(args.inp).splitlines()
+    with _open_input(args.inp) as f:
+        lines = [line for _, line in corpus.read_lines(f)]
     kept = corpus.dedup_lines(lines)
     _write_text(args.out, "\n".join(kept) + ("\n" if kept else ""))
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
@@ -115,20 +117,19 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_scriptdist(args) -> int:
-    # Streamed line by line. A line read ends at "\n" and no "\r\n" spans
-    # two of them, so splitting each again with str.splitlines equals
-    # splitting the whole text at once.
-    with _open_text(args.inp) as f:
-        lines = (part for line in f for part in line.splitlines(keepends=True))
-        dist = scripts.script_distribution(
-            scripts.read_vocab(lines), subword_prefix=args.subword_prefix
-        )
+    # streamed: memory does not grow with the vocabulary
+    with _open_input(args.inp) as f:
+        tokens = (line for _, line in corpus.read_lines(f) if line)
+        dist = scripts.script_distribution(tokens, subword_prefix=args.subword_prefix)
     _write_text(args.out, dist.to_tsv())
     return 0
 
 
 def _cmd_split(args) -> int:
     plan = splits.plan_splits(args.n, args.has_dev, k=args.k, seed=args.seed)
+    cross_validation = plan.strategy is splits.Strategy.CROSS_VALIDATION
+    # made before any output is written, since it can refuse the corpus
+    assignment = splits.make_folds(args.n, plan.k, plan.seed) if cross_validation else None
     lines = [
         f"strategy\t{plan.strategy.value}",
         f"k\t{plan.k}",
@@ -136,8 +137,7 @@ def _cmd_split(args) -> int:
         f"seed\t{plan.seed}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
-    if plan.strategy is splits.Strategy.CROSS_VALIDATION:
-        assignment = splits.make_folds(args.n, plan.k, plan.seed)
+    if cross_validation:
         if args.folds_out:
             fold_lines = [f"{i}\t{f}" for i, f in enumerate(assignment.folds)]
             _write_text(args.folds_out, "\n".join(fold_lines) + "\n")
@@ -172,26 +172,27 @@ def _score_records(task: str, score) -> list[dict]:
 
 
 def _cmd_eval(args) -> int:
-    gold_text = _read_text(args.gold)
     preds = args.pred
     seeds = args.seeds if args.seeds else list(range(len(preds)))
     if len(seeds) != len(preds):
         raise ValueError("--seeds must list one seed per --pred file")
-    if args.task == "ner":
-        gold = ner.parse_ner(gold_text, repair=args.repair)
-    else:
-        gold = conllu.parse_conllu(gold_text)
+
+    def parse(path):
+        with _open_input(path) as f:
+            if args.task == "ner":
+                return ner.parse_ner(f, repair=args.repair)
+            return conllu.parse_conllu(f)
+
+    gold = parse(args.gold)
     records = []
     for seed, pred_path in zip(seeds, preds):
-        pred_text = _read_text(pred_path)
+        pred = parse(pred_path)
         if args.task == "pos":
-            score = metrics.eval_pos(gold, conllu.parse_conllu(pred_text))
+            score = metrics.eval_pos(gold, pred)
         elif args.task == "dep":
-            score = metrics.eval_dep(
-                gold, conllu.parse_conllu(pred_text), strict_deprel=args.strict_deprel
-            )
+            score = metrics.eval_dep(gold, pred, strict_deprel=args.strict_deprel)
         else:
-            score = metrics.eval_ner(gold, ner.parse_ner(pred_text, repair=args.repair))
+            score = metrics.eval_ner(gold, pred)
         for rec in _score_records(args.task, score):
             rec["seed"] = seed
             records.append(rec)
@@ -221,7 +222,8 @@ def _cmd_categorize(args) -> int:
     if args.inp == "builtin":
         points = taxonomy.paper_score_points()
     else:
-        points = taxonomy.load_score_points(_read_text(args.inp))
+        with _open_input(args.inp) as f:
+            points = taxonomy.load_score_points(f)
     cat_points = [taxonomy.categorize_point(p, tau=args.tau) for p in points]
     body = taxonomy.points_tsv(cat_points)
     if args.language_labels:

@@ -13,6 +13,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
+from .corpus import LineError, read_lines
 from .translit import RuleSet, transliterate
 
 __all__ = [
@@ -27,12 +28,8 @@ __all__ = [
 N_COLUMNS = 10
 
 
-class ConlluError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+class ConlluError(LineError):
+    """Malformed CoNLL-U."""
 
 
 @dataclass(frozen=True)
@@ -102,22 +99,16 @@ class ConlluSentence:
 
 
 def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSentence]:
-    """Parse a CoNLL-U stream (or string) into sentences.
-
-    Comment lines are preserved verbatim; ``a-b`` range lines go to
-    ``mwt_ranges``; ``a.b`` empty-node lines are kept as pass-through text.
+    """Parse a CoNLL-U stream (or string) into sentences, each line cut by
+    :func:`~unseenlang.corpus.read_lines` and normalised to NFC. Comment
+    lines are preserved verbatim; ``a-b`` range lines go to ``mwt_ranges``;
+    ``a.b`` empty-node lines are kept as pass-through text.
     """
-    if isinstance(stream, str):
-        lines = stream.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
     sentences: list[ConlluSentence] = []
     current = ConlluSentence()
     start_line = 1
 
-    def flush(lineno):
+    def flush():
         if current.comments or current.tokens or current.mwt_ranges or current.empty_nodes:
             try:
                 current.check(strict=strict)
@@ -125,10 +116,10 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
                 raise ConlluError(str(exc), start_line)
             sentences.append(current)
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(stream):
         line = unicodedata.normalize("NFC", line)
         if line == "":
-            flush(lineno)
+            flush()
             current = ConlluSentence()
             start_line = lineno + 1
             continue
@@ -159,7 +150,7 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
         current.tokens.append(
             ConlluToken(idx, cols[1], cols[2], cols[3], cols[4], cols[5], head, cols[7], cols[8], cols[9])
         )
-    flush(len(lines))
+    flush()
     return sentences
 
 

@@ -1,18 +1,59 @@
 """Raw-text utilities and the registry of the 15 studied languages.
 
-Deduplication reproduces OSCAR-style line-level dedup for the sources
-that ship without it (Wiki dumps and other collections).
+Every reader of the package cuts its input into lines with
+:func:`read_lines`. Deduplication reproduces OSCAR-style line-level dedup
+for the sources that ship without it (Wiki dumps and other collections).
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from itertools import chain
+from typing import IO, Iterable, Iterator
 
 from .scripts import ScriptClass
 
-__all__ = ["dedup_lines", "LanguageRecord", "language_table", "lookup"]
+__all__ = ["LineError", "read_lines", "dedup_lines", "LanguageRecord", "language_table", "lookup"]
+
+
+class LineError(ValueError):
+    """Malformed input; ``lineno`` is the 1-based offending line, or None."""
+
+    def __init__(self, message: str, lineno: int | None = None):
+        self.lineno = lineno
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
+
+
+def read_lines(source: IO[str] | str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line of a text or a text stream,
+    counting from 1.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else: U+0085,
+    U+2028 and the other breaks of :meth:`str.splitlines` stay inside it.
+    The terminator is dropped, a final one opens no empty line, a leading
+    BOM is dropped, and nothing is normalised. A stream is read in blocks of
+    64k characters, so memory does not grow with its number of lines, and
+    the rule holds whatever newline mode it was opened with.
+    """
+
+    def blocks_of_lines() -> Iterator[list[str]]:
+        blocks = (source,) if isinstance(source, str) else iter(partial(source.read, 1 << 16), "")
+        rest, cr = "", False
+        for i, block in enumerate(blocks):
+            if i == 0:
+                block = block.removeprefix("\ufeff")
+            elif cr and block[0] == "\n":  # the rest of a "\r\n" cut between two blocks
+                block = block[1:]
+            cr = block.endswith("\r")
+            lines = (rest + block).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            rest = lines.pop()  # the line the next block continues
+            yield lines
+        if rest:
+            yield [rest]
+
+    return enumerate(chain.from_iterable(blocks_of_lines()), 1)
 
 
 def dedup_lines(lines: Iterable[str]) -> list[str]:

@@ -1,8 +1,9 @@
 """IOB2 NER corpora: parsing, validation/repair, writing, span extraction
 and label-preserving transliteration.
 
-File format: ``token<TAB>label`` per line, blank line between sentences.
-WikiAnn-style ``lang:token`` prefixes can be stripped at parse time.
+File format: ``token<TAB>label`` per line, blank line between sentences;
+lines are cut by :func:`~unseenlang.corpus.read_lines`. WikiAnn-style
+``lang:token`` prefixes can be stripped at parse time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+from .corpus import LineError, read_lines
 from .translit import RuleSet, transliterate_tokens
 
 __all__ = [
@@ -24,8 +26,8 @@ __all__ = [
 ]
 
 
-class NerError(ValueError):
-    pass
+class NerError(LineError):
+    """Malformed IOB2 input."""
 
 
 @dataclass(frozen=True)
@@ -49,69 +51,45 @@ class NerSentence:
             )
 
 
-def _check_label(label: str) -> None:
-    if label == "O":
-        return
-    if label[:2] in ("B-", "I-") and len(label) > 2:
-        return
-    raise NerError(f"bad IOB2 label {label!r}")
-
-
-def _validate_iob2(labels: list[str], repair: bool) -> list[str]:
-    """Strict IOB2: I-X may only follow B-X or I-X of the same type.
-    In repair mode a dangling I-X is rewritten to B-X."""
-    out = []
-    prev = "O"
-    for label in labels:
-        _check_label(label)
-        if label.startswith("I-"):
-            expected = prev[2:] if prev != "O" else None
-            if expected != label[2:]:
-                if not repair:
-                    raise NerError(f"dangling {label} after {prev}")
-                label = "B-" + label[2:]
-        out.append(label)
-        prev = label
-    return out
-
-
 def parse_ner(
     stream: IO[str] | str,
     repair: bool = False,
     strip_prefix: bool = False,
 ) -> list[NerSentence]:
-    """Parse a NER TSV stream. Strict mode (default) rejects IOB2
-    violations, naming the offending sentence; ``repair=True`` rewrites a
-    dangling I-X to B-X. ``strip_prefix`` removes a WikiAnn ``lang:``
-    token prefix."""
-    if isinstance(stream, str):
-        lines = stream.split("\n")
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+    """Parse a NER TSV stream (or string), each line normalised to NFC.
+
+    Strict IOB2 (the default): a label is ``O``, ``B-X`` or ``I-X``, and
+    I-X may only follow B-X or I-X of the same type; a violation names its
+    line and sentence. ``repair=True`` rewrites a dangling I-X to B-X.
+    ``strip_prefix`` removes a WikiAnn ``lang:`` token prefix."""
     sentences: list[NerSentence] = []
     tokens: list[str] = []
     labels: list[str] = []
 
     def flush():
-        if not tokens:
-            return
-        try:
-            fixed = _validate_iob2(labels, repair)
-        except NerError as exc:
-            raise NerError(f"sentence {len(sentences) + 1}: {exc}")
-        sentences.append(NerSentence(tuple(tokens), tuple(fixed)))
-        tokens.clear()
-        labels.clear()
+        if tokens:
+            sentences.append(NerSentence(tuple(tokens), tuple(labels)))
+            tokens.clear()
+            labels.clear()
 
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in read_lines(stream):
         line = unicodedata.normalize("NFC", line)
         if not line.strip():
             flush()
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise NerError(f"line {lineno}: expected token<TAB>label, got {line!r}")
+            raise NerError(f"expected token<TAB>label, got {line!r}", lineno)
         token, label = parts
+        prev = labels[-1] if labels else "O"
+        if label != "O" and (label[:2] not in ("B-", "I-") or len(label) == 2):
+            raise NerError(f"bad IOB2 label {label!r} (sentence {len(sentences) + 1})", lineno)
+        if label[:2] == "I-" and prev[2:] != label[2:]:
+            if not repair:
+                raise NerError(
+                    f"dangling {label} after {prev} (sentence {len(sentences) + 1})", lineno
+                )
+            label = "B-" + label[2:]
         if strip_prefix and ":" in token:
             token = token.split(":", 1)[1]
         tokens.append(token)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import regex
 
@@ -172,12 +172,3 @@ def _token_class(token: str) -> ScriptClass:
         votes[idx] += 1
     best = max(votes[:_COMMON])
     return _BY_TIE[votes.index(best)] if best else ScriptClass.COMMON
-
-
-def read_vocab(lines: Iterable[str]) -> Iterator[str]:
-    """Yield the tokens of a one-token-per-line vocabulary, keeping line
-    content as-is apart from the final newline and skipping empty lines."""
-    for line in lines:
-        token = line.rstrip("\n")
-        if token:
-            yield token

@@ -20,6 +20,8 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable
 
+from .corpus import read_lines
+
 __all__ = [
     "Category",
     "ScorePoint",
@@ -105,12 +107,10 @@ def categorize_language(points: Iterable[CategoryPoint | Category]) -> Category:
 
 
 def load_score_points(stream: IO[str] | str) -> list[ScorePoint]:
-    """Read ``language<TAB>task<TAB>baseline<TAB>mbert<TAB>mbert_mlm``
-    rows; a header row and ``#`` comments are skipped."""
-    if isinstance(stream, str):
-        stream = stream.splitlines()
+    """Read ``language<TAB>task<TAB>baseline<TAB>mbert<TAB>mbert_mlm`` rows
+    from a stream or a string, skipping a header row and ``#`` comments."""
     points = []
-    for row in csv.reader(stream, delimiter="\t"):
+    for row in csv.reader((line for _, line in read_lines(stream)), delimiter="\t"):
         if not row or row[0].startswith("#") or row[0] == "language":
             continue
         if len(row) != 5:

@@ -5,7 +5,8 @@ conventions of a related Latin-script language. The mapping is one-way by
 design: it maximizes surface similarity with the target language and is
 neither reversible nor a phonetization.
 
-Rule file format (UTF-8, NFC, line-oriented):
+Rule file format (UTF-8, NFC, one rule or directive per line; lines are
+cut by :func:`~unseenlang.corpus.read_lines`):
 
     # comment
     @name cyrillic_latin
@@ -28,7 +29,9 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
+from typing import IO
 
+from .corpus import LineError, read_lines
 from .scripts import _GRAPHEME_RE, ScriptClass, segment_graphemes
 
 __all__ = [
@@ -49,14 +52,8 @@ DELETE_MARK = "∅"
 BUILTIN_NAMES = ("uyghur_latin", "sorani_latin", "cyrillic_latin", "georgian_latin")
 
 
-class RuleFileError(ValueError):
-    """Malformed rule file. Carries the 1-based offending line number."""
-
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+class RuleFileError(LineError):
+    """Malformed rule file or a ruleset that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -151,15 +148,15 @@ class RuleSet:
         return str.maketrans({ch: None for ch in strip}), index
 
 
-def parse_ruleset(text: str) -> RuleSet:
-    """Parse a rule file. Rules keep file order; header directives populate
-    name and scripts. Raises :class:`RuleFileError` on malformed input."""
+def parse_ruleset(source: IO[str] | str) -> RuleSet:
+    """Parse a rule file from a stream or a string. Rules keep file order;
+    headers set name and scripts. Raises :class:`RuleFileError` on bad input."""
     name = None
     sources: list[ScriptClass] = []
     target = None
     note = ""
     rules: list[Rule] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in read_lines(source):
         if raw != raw.rstrip():
             raise RuleFileError("trailing whitespace", lineno)
         if not raw or raw.startswith("#"):

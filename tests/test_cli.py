@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -8,6 +9,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from unseenlang.cli import run
 from unseenlang.scripts import script_distribution
 
+# Raw lines with "\n" line ends: words, blanks, repeats and other breaks.
+RAW = st.lists(
+    st.lists(st.sampled_from(["a", "ш", "##", " ", "\x85", "\u2028", "\x0c"]), max_size=4),
+    max_size=6,
+).map(lambda lines: "".join("".join(line) + "\n" for line in lines))
+FIXTURE_SETTINGS = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 CONLLU = (
     "1\tмон\tмон\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
     "2\tмолян\tмолемс\tVERB\t_\t_\t0\troot\t_\t_\n"
@@ -91,6 +98,48 @@ class TestTranslit:
         assert (out_dir / "a.txt").read_text(encoding="utf-8") == "sha\n"
         assert (out_dir / "b.txt").read_text(encoding="utf-8") == "ba\n"
 
+    def test_multiple_inputs_all_or_nothing(self, tmp_path, capsys):
+        (tmp_path / "ok.conllu").write_text(CONLLU, encoding="utf-8")
+        (tmp_path / "bad.conllu").write_text("1\tx\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        rc, _, err = invoke(
+            capsys,
+            "translit", "--rules", "cyrillic_latin", "--format", "conllu",
+            "--in", str(tmp_path / "ok.conllu"), "--in", str(tmp_path / "bad.conllu"),
+            "--out", str(out_dir),
+        )
+        assert rc == 1
+        assert f"{tmp_path / 'bad.conllu'}: line 1: expected 10 columns" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name, content, fmt, message",
+        [
+            ("a.conllu", b"1\tx\n", "conllu", "line 1: expected 10 columns, got 2"),
+            ("a.ner", b"x\tO\ny\tI-PER\n", "ner", "line 2: dangling I-PER after O (sentence 1)"),
+            ("a.txt", b"\xff\n", "raw", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ],
+    )
+    def test_data_error_names_file(self, tmp_path, capsys, name, content, fmt, message):
+        src = tmp_path / name
+        src.write_bytes(content)
+        rc, out, err = invoke(
+            capsys, "translit", "--rules", "cyrillic_latin", "--format", fmt, "--in", str(src)
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith(f"unseenlang: error: {src}: {message}")
+
+    def test_malformed_rule_file_names_file(self, tmp_path, capsys):
+        rules = tmp_path / "my.rules"
+        rules.write_text("@name my\n@source Cyrillic\n@target Latin\nм\n", encoding="utf-8")
+        src = tmp_path / "a.txt"
+        src.write_text("м\n", encoding="utf-8")
+        rc, _, err = invoke(capsys, "translit", "--rules", str(rules), "--in", str(src))
+        assert rc == 1
+        assert err == (
+            f"unseenlang: error: {rules}: line 4: expected 2 or 4 tab-separated fields, got 1\n"
+        )
+
     def test_invalid_rule_file_writes_nothing(self, tmp_path, capsys):
         rules = tmp_path / "bad.rules"
         rules.write_text(
@@ -128,6 +177,33 @@ class TestPipelineCommands:
         assert rc == 0 and out == "a\nb\n"
         assert "kept 2 of 4" in err
 
+    def test_dedup_cuts_lines_at_cr_and_lf_only(self, tmp_path, capsys):
+        src = tmp_path / "c.txt"
+        src.write_text("a\x85b\nc\u2028d\n", encoding="utf-8")
+        rc, out, err = invoke(capsys, "dedup", "--in", str(src))
+        assert rc == 0 and out == "a\x85b\nc\u2028d\n"
+        assert "kept 2 of 2" in err
+
+    @FIXTURE_SETTINGS
+    @given(RAW, st.sampled_from(["\r\n", "\r"]), st.booleans())
+    def test_line_endings_and_bom_give_same_output(self, tmp_path, capsys, text, end, bom):
+        variant = ("\ufeff" if bom else "") + text.replace("\n", end)
+        for command in ("dedup", "scriptdist"):
+            outs = []
+            for i, body in enumerate((text, variant)):
+                src = tmp_path / f"{command}{i}.txt"
+                src.write_bytes(body.encode("utf-8"))
+                rc, out, _ = invoke(capsys, command, "--in", str(src))
+                assert rc == 0
+                outs.append(out)
+            stdin = io.TextIOWrapper(
+                io.BytesIO(variant.encode("utf-8")), encoding="utf-8", newline="\n"
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sys, "stdin", stdin)
+                rc, out, _ = invoke(capsys, command, "--in", "-")
+            assert rc == 0 and outs == [out, out]
+
     def test_scriptdist(self, tmp_path, capsys):
         src = tmp_path / "vocab.txt"
         src.write_text("abc\nгде\n##ing\n7\n", encoding="utf-8")
@@ -158,16 +234,23 @@ class TestPipelineCommands:
         assert len(run_lines) == 7 * 8  # 7 runs, one role row per fold
         assert run_lines[0].split("\t")[1] in {"train", "dev", "test"}
 
+    def test_failed_split_writes_nothing(self, tmp_path, capsys):
+        plan, folds = tmp_path / "plan.tsv", tmp_path / "f.tsv"
+        rc, _, err = invoke(
+            capsys, "split", "--n", "3", "--no-dev", "--out", str(plan), "--folds-out", str(folds)
+        )
+        assert rc == 1 and "cannot make 8 folds out of 3 sentences" in err
+        assert not plan.exists() and not folds.exists()
+
     def test_split_standard(self, capsys):
         rc, out, _ = invoke(capsys, "split", "--n", "1000")
         assert rc == 0 and "strategy\tstandard" in out
 
 
 def whole_text_tsv(text: str) -> str:
-    """scriptdist's output computed from the whole text split at once."""
-    tokens = [
-        line.rstrip("\n") for line in text.splitlines(keepends=True) if line.rstrip("\n")
-    ]
+    """scriptdist's output computed from the whole text split at once,
+    at "\\n", "\\r\\n" and "\\r" only."""
+    tokens = [line for line in re.split(r"\r\n|\r|\n", text) if line]
     return script_distribution(tokens, subword_prefix="##").to_tsv()
 
 
@@ -179,7 +262,6 @@ VOCAB = st.lists(
     ),
     max_size=20,
 ).map("".join)
-FIXTURE_SETTINGS = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestScriptdistStreaming:

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,13 @@ class TestProperties:
     @given(st.lists(random_sentence(), max_size=4))
     def test_parse_write_identity(self, sents):
         assert parse_conllu(write_conllu(sents)) == sents
+
+    @given(st.lists(random_sentence(), max_size=4), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans())
+    def test_line_endings_and_bom_parse_alike(self, sents, end, bom):
+        text = ("\ufeff" if bom else "") + write_conllu(sents).replace("\n", end)
+        assert parse_conllu(text) == sents
+        assert parse_conllu(io.StringIO(text, newline="\n")) == sents
 
     @settings(max_examples=100)
     @given(st.lists(random_sentence(), max_size=4))

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,12 @@ class TestParse:
         with pytest.raises(NerError, match="sentence 1"):
             parse_ner("x\tI-PER\n")
 
+    def test_iob2_error_names_line_and_sentence(self):
+        with pytest.raises(NerError, match=r"^line 4: dangling I-PER after B-LOC \(sentence 2\)$"):
+            parse_ner("a\tO\n\nb\tB-LOC\nc\tI-PER\n")
+        with pytest.raises(NerError, match=r"^line 2: bad IOB2 label 'B' \(sentence 1\)$"):
+            parse_ner("a\tO\nb\tB\n")
+
     def test_repair_rewrites_dangling_i(self):
         sents = parse_ner("x\tI-PER\n", repair=True)
         assert sents[0].labels == ("B-PER",)
@@ -55,11 +63,35 @@ class TestParse:
         with pytest.raises(NerError):
             NerSentence(("a", "b"), ("O",))
 
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.text(alphabet="aш:", min_size=1, max_size=3),
+                    st.sampled_from(["O", "B-PER", "I-PER", "B-LOC"]),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=3,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(),
+    )
+    def test_line_endings_and_bom_parse_alike(self, rows, end, bom):
+        text = "\n\n".join("\n".join(f"{t}\t{l}" for t, l in sent) for sent in rows)
+        text += "\n" if rows else ""
+        want = parse_ner(text, repair=True)
+        variant = ("\ufeff" if bom else "") + text.replace("\n", end)
+        assert parse_ner(variant, repair=True) == want
+        assert parse_ner(io.StringIO(variant, newline="\n"), repair=True) == want
+
 
 class TestWrite:
     def test_round_trip(self):
         text = "a\tB-PER\nb\tI-PER\n\nc\tO\n"
         assert write_ner(parse_ner(text)) == text
+
 
     def test_empty(self):
         assert write_ner([]) == ""

@@ -108,6 +108,10 @@ class TestScorePoints:
         pts = load_score_points("language\ttask\tbaseline\tmbert\tmbert_mlm\nxx\tPOS\t90\t91\t92\n")
         assert pts == [ScorePoint("xx", "POS", 90.0, 91.0, 92.0)]
 
+    def test_bom_and_crlf(self):
+        text = "\ufefflanguage\ttask\tbaseline\tmbert\tmbert_mlm\r\nxx\tPOS\t90\t91\t92\r\n"
+        assert load_score_points(text) == [ScorePoint("xx", "POS", 90.0, 91.0, 92.0)]
+
     def test_shipped_file(self):
         pts = paper_score_points()
         assert len(pts) == 22

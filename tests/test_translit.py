@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import unicodedata
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,6 +50,13 @@ class TestParseRuleset:
     def test_single_field_line_rejected(self):
         with pytest.raises(RuleFileError, match="line 4"):
             parse_ruleset(HEADER + "ш\n")
+
+    @given(st.sampled_from(builtin_names()), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_line_endings_and_bom_parse_alike(self, name, end, bom):
+        text = (resources.files("unseenlang") / "rules" / f"{name}.rules").read_text("utf-8")
+        variant = ("\ufeff" if bom else "") + text.replace("\n", end)
+        assert parse_ruleset(variant) == parse_ruleset(io.StringIO(variant, newline="\n"))
+        assert parse_ruleset(variant) == load_builtin(name)
 
     def test_three_field_line_rejected(self):
         with pytest.raises(RuleFileError):
