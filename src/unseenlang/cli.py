@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +75,13 @@ def _cmd_translit(args) -> int:
     out_dir = Path(args.out)
     if args.out == "-" or (out_dir.exists() and not out_dir.is_dir()):
         raise ValueError("--out must be a directory when multiple inputs are given")
+    # each output is named after its input's file name, so two inputs must not share one
+    first_by_name: dict[str, str] = {}
+    for path in inputs:
+        name = Path(path).name
+        other = first_by_name.setdefault(name, path)
+        if other != path:
+            raise ValueError(f"{other} and {path} would both be written to {out_dir / name}")
     # every input is read and transliterated before any output is written
     results = {path: _transliterate(path, args.format, rs, not args.no_lemmas) for path in inputs}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,7 +257,9 @@ def _cmd_langs(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="unseenlang",
         description="Corpus preparation, transliteration, splits, metrics and "

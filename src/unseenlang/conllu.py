@@ -10,7 +10,7 @@ canonical form.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 from .corpus import LineError, read_lines
@@ -182,10 +182,11 @@ def transliterate_conllu(
     out = []
     for sent in sentences:
         tokens = [
-            replace(
-                tok,
-                form=transliterate(tok.form, rs),
-                lemma=transliterate(tok.lemma, rs) if lemmas else tok.lemma,
+            ConlluToken(
+                tok.id,
+                transliterate(tok.form, rs),
+                transliterate(tok.lemma, rs) if lemmas else tok.lemma,
+                tok.upos, tok.xpos, tok.feats, tok.head, tok.deprel, tok.deps, tok.misc,
             )
             for tok in sent.tokens
         ]

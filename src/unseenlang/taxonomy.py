@@ -20,10 +20,11 @@ from enum import Enum
 from importlib import resources
 from typing import IO, Iterable
 
-from .corpus import read_lines
+from .corpus import LineError, read_lines
 
 __all__ = [
     "Category",
+    "ScoreFileError",
     "ScorePoint",
     "CategoryPoint",
     "relative_delta",
@@ -48,6 +49,10 @@ class Category(Enum):
 
 
 _HARDNESS = {Category.EASY: 0, Category.INTERMEDIATE: 1, Category.HARD: 2}
+
+
+class ScoreFileError(LineError):
+    """Malformed row in a score file."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,19 @@ def categorize_language(points: Iterable[CategoryPoint | Category]) -> Category:
 
 def load_score_points(stream: IO[str] | str) -> list[ScorePoint]:
     """Read ``language<TAB>task<TAB>baseline<TAB>mbert<TAB>mbert_mlm`` rows
-    from a stream or a string, skipping a header row and ``#`` comments."""
+    from a stream or a string, skipping a header row and ``#`` comments.
+    Raises :class:`ScoreFileError` naming the line of a bad row."""
     points = []
-    for row in csv.reader((line for _, line in read_lines(stream)), delimiter="\t"):
+    rows = csv.reader((line for _, line in read_lines(stream)), delimiter="\t")
+    for row in rows:
         if not row or row[0].startswith("#") or row[0] == "language":
             continue
         if len(row) != 5:
-            raise ValueError(f"expected 5 columns, got {row!r}")
-        points.append(ScorePoint(row[0], row[1], float(row[2]), float(row[3]), float(row[4])))
+            raise ScoreFileError(f"expected 5 columns, got {len(row)}: {row!r}", rows.line_num)
+        try:
+            points.append(ScorePoint(row[0], row[1], *map(float, row[2:])))
+        except ValueError as exc:
+            raise ScoreFileError(str(exc), rows.line_num) from None
     return points
 
 

@@ -21,6 +21,16 @@ whitespace is forbidden).
 An unconditional deletion of one format character (ZWNJ, ZWJ) is applied
 as a character strip before matching. Rules and contexts are matched
 against the NFC input after that strip, never against emitted output.
+
+The engine has two branches, both built by the ruleset's compile step. A
+text that holds no code point able to join a neighbour into one grapheme
+cluster, no strip character and no one-code-point start of a
+multi-grapheme or context rule is rewritten by one :meth:`str.translate`
+with the table of its one-grapheme, context-free rules. Any other text
+goes through the grapheme loop. The two agree: with no joiner, each code
+point is its own cluster; with no strip character, the text is not
+normalized again; and the first rule candidate of every grapheme left
+applies, so the loop would emit the table's value for each grapheme.
 """
 
 from __future__ import annotations
@@ -29,7 +39,9 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import IO
+from typing import IO, Callable
+
+import regex
 
 from .corpus import LineError, read_lines
 from .scripts import _GRAPHEME_RE, ScriptClass, segment_graphemes
@@ -50,6 +62,14 @@ __all__ = [
 DELETE_MARK = "∅"
 
 BUILTIN_NAMES = ("uyghur_latin", "sorani_latin", "cyrillic_latin", "georgian_latin")
+
+# Body of a regex character class: every code point that can share a
+# grapheme cluster with a neighbour. A text without any of them is one
+# cluster per code point.
+JOINERS = r"\r" + "".join(
+    rf"\p{{Grapheme_Cluster_Break={value}}}"
+    for value in ("L", "V", "T", "Extend", "ZWJ", "SpacingMark", "Prepend", "Regional_Indicator")
+)
 
 
 class RuleFileError(LineError):
@@ -120,7 +140,9 @@ class RuleSet:
         self._compiled
 
     @cached_property
-    def _compiled(self) -> tuple[dict, dict[str, list[tuple[Rule, list[str], int, int]]]]:
+    def _compiled(
+        self,
+    ) -> tuple[dict, dict[str, list[tuple[Rule, list[str], int, int]]], dict, Callable]:
         report = validate_ruleset(self)
         if not report.ok:
             raise RuleFileError(f"ruleset {self.name} failed validation:\n{report.describe()}")
@@ -143,9 +165,28 @@ class RuleSet:
         for rule in self.rules:
             gs = segment_graphemes(rule.lhs)
             index.setdefault(gs[0], []).append((rule, gs, len(gs), sum(map(len, gs))))
-        for cands in index.values():
+        # The fast path: a one-code-point grapheme whose first candidate is
+        # a one-grapheme, context-free rule always takes that rule; any
+        # other one-code-point grapheme with a candidate sends the text to
+        # the loop, as do the strip characters and the joiners.
+        table: dict[str, str] = {}
+        loop_chars = set(strip)
+        for g, cands in index.items():
             cands.sort(key=lambda cand: -cand[2])
-        return str.maketrans({ch: None for ch in strip}), index
+            rule, _, length, _ = cands[0]
+            if len(g) > 1:
+                continue  # holds a joiner, so a text with it takes the loop
+            if length == 1 and rule.left_context is None and rule.right_context is None:
+                table[g] = rule.rhs
+            else:
+                loop_chars.add(g)
+        loop_class = JOINERS + "".join(regex.escape(ch) for ch in sorted(loop_chars))
+        return (
+            str.maketrans({ch: None for ch in strip}),
+            index,
+            str.maketrans(table),
+            regex.compile(f"[{loop_class}]").search,
+        )
 
 
 def parse_ruleset(source: IO[str] | str) -> RuleSet:
@@ -259,9 +300,16 @@ def transliterate(text: str, rs: RuleSet) -> str:
     and contexts are both taken from that NFC text after the strip.
     Raises :class:`RuleFileError` (a ``ValueError``) if ``rs`` fails
     validation.
+
+    A text with no joiner, no strip character and no code point that
+    starts a multi-grapheme or context rule is one grapheme per code point,
+    each taking its first candidate, so one ``str.translate`` with the
+    table of one-grapheme, context-free rules gives what the loop would.
     """
-    strip_table, index = rs._compiled
+    strip_table, index, table, needs_loop = rs._compiled
     text = unicodedata.normalize("NFC", text)
+    if needs_loop(text) is None:
+        return text.translate(table)
     stripped = text.translate(strip_table)
     if len(stripped) != len(text):
         text = unicodedata.normalize("NFC", stripped)

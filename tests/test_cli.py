@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from unseenlang.cli import run
+from unseenlang.cli import build_parser, run
 from unseenlang.scripts import script_distribution
 
 # Raw lines with "\n" line ends: words, blanks, repeats and other breaks.
@@ -97,6 +97,24 @@ class TestTranslit:
         assert rc == 0
         assert (out_dir / "a.txt").read_text(encoding="utf-8") == "sha\n"
         assert (out_dir / "b.txt").read_text(encoding="utf-8") == "ba\n"
+
+    def test_multiple_inputs_sharing_a_name_refused(self, tmp_path, capsys):
+        first, second = tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt"
+        for path in (first, second):
+            path.parent.mkdir()
+        first.write_text("ша\n", encoding="utf-8")
+        second.write_bytes(b"\xff\n")  # reading it would fail with a decode error
+        out_dir = tmp_path / "d"
+        rc, out, err = invoke(
+            capsys,
+            "translit", "--rules", "cyrillic_latin",
+            "--in", str(first), "--in", str(second), "--out", str(out_dir),
+        )
+        assert rc == 1 and out == ""
+        assert err == (
+            f"unseenlang: error: {first} and {second} would both be written to {out_dir / 'x.txt'}\n"
+        )
+        assert not out_dir.exists()
 
     def test_multiple_inputs_all_or_nothing(self, tmp_path, capsys):
         (tmp_path / "ok.conllu").write_text(CONLLU, encoding="utf-8")
@@ -338,6 +356,21 @@ class TestCategorize:
         rc, out, _ = invoke(capsys, "categorize", "--in", str(scores))
         assert rc == 0 and out.splitlines()[1].endswith("Easy")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("xx\tPOS\t90\t95\n", "expected 5 columns, got 4"),
+            ("xx\tPOS\t9x\t95\t96\n", "could not convert string to float: '9x'"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        scores = tmp_path / "s.tsv"
+        header = "language\ttask\tbaseline\tmbert\tmbert_mlm\nyy\tPOS\t90\t95\t96\n"
+        scores.write_text(header + row, encoding="utf-8")
+        rc, out, err = invoke(capsys, "categorize", "--in", str(scores))
+        assert rc == 1 and out == ""
+        assert err.startswith(f"unseenlang: error: {scores}: line 3: {message}")
+
 
 class TestLangs:
     def test_table(self, capsys):
@@ -351,6 +384,27 @@ class TestLangs:
     def test_unknown(self, capsys):
         rc, _, err = invoke(capsys, "langs", "zz")
         assert rc == 1 and "unknown language" in err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no option carries over."""
+
+    def test_translit_lemmas_after_no_lemmas(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        src = tmp_path / "a.conllu"
+        src.write_text(CONLLU, encoding="utf-8")
+        argv = ("translit", "--rules", "cyrillic_latin", "--format", "conllu", "--in", str(src))
+        rc, out, _ = invoke(capsys, *argv, "--no-lemmas")
+        assert rc == 0 and "\tmolyan\tмолемс\t" in out
+        rc, out, _ = invoke(capsys, *argv)
+        assert rc == 0 and "\tmolyan\tmolems\t" in out
+
+    def test_eval_seeds_after_explicit_seeds(self, tmp_path, capsys):
+        gold = tmp_path / "g.conllu"
+        gold.write_text(CONLLU, encoding="utf-8")
+        argv = ("eval", "pos", "--gold", str(gold), "--pred", str(gold))
+        assert invoke(capsys, *argv, "--seeds", "7") == (0, "POS\tupos_acc\t100.00\t7\n", "")
+        assert invoke(capsys, *argv) == (0, "POS\tupos_acc\t100.00\t0\n", "")
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from unseenlang.corpus import (
 )
 from unseenlang.ner import NerError, parse_ner
 from unseenlang.scripts import ScriptClass
+from unseenlang.taxonomy import ScoreFileError, load_score_points
 from unseenlang.translit import RuleFileError, parse_ruleset
 
 
@@ -81,6 +82,8 @@ class TestReadLines:
         (parse_conllu, ConlluError, "\ufeff1\tx\n", 1),
         (parse_ner, NerError, "a\tO\r\nb\r\n", 2),
         (parse_ruleset, RuleFileError, "@name t\n@source Cyrillic\n@target Latin\nш\n", 4),
+        (load_score_points, ScoreFileError, "# scores\n\nxx\tPOS\t90\t95\n", 3),
+        (load_score_points, ScoreFileError, "# scores\n\nxx\tPOS\t9x\t95\t96\n", 3),
     ],
 )
 def test_parse_errors_are_line_errors(parse, error, text, lineno):

@@ -4,12 +4,13 @@ import unicodedata
 from importlib import resources
 
 import pytest
+import regex
 from hypothesis import example, given, settings, strategies as st
 
 from unseenlang.conllu import ConlluSentence, ConlluToken, transliterate_conllu
 from unseenlang import translit
 from unseenlang.ner import NerSentence, transliterate_ner
-from unseenlang.scripts import ScriptClass, segment_graphemes
+from unseenlang.scripts import _GRAPHEME_RE, ScriptClass, segment_graphemes
 from unseenlang.translit import (
     Rule,
     RuleFileError,
@@ -410,5 +411,35 @@ class TestDifferential:
     def test_builtins_match_reference(self, name, data):
         rs = load_builtin(name)
         alphabet = sorted({ch for rule in rs.rules for ch in rule.lhs} | set(" á‌‍ٔ"))
+        text = data.draw(st.text(alphabet=alphabet, max_size=30))
+        assert transliterate(text, rs) == reference_transliterate(text, rs)
+
+
+# One code point of each kind that can join a neighbour: CR, Hangul L, V,
+# T and LV syllable, a regional indicator, a prepended concatenation mark,
+# a spacing mark, ZWJ and a combining accent; and LF, which CR joins.
+JOINER_SAMPLES = "\r\u1100\u1161\u11a8\uac00\U0001f1e6\u0600\u0903\u200d\u0301\n"
+
+
+class TestFastPath:
+    """A text with no joiner goes through one ``str.translate``."""
+
+    def test_code_points_outside_joiners_are_single_clusters(self):
+        joiner = regex.compile(f"[{translit.JOINERS}]")
+        chars = [
+            chr(cp)
+            for cp in range(0x110000)
+            if not 0xD800 <= cp < 0xE000 and joiner.match(chr(cp)) is None
+        ]
+        # each code point doubled, between ASCII letters and before a line
+        # feed (CR joins only LF)
+        text = "".join(f"a{ch}{ch}a{ch}\n" for ch in chars)
+        assert [g for g in _GRAPHEME_RE.findall(text) if len(g) > 1] == []
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(builtin_names()), st.data())
+    def test_builtins_with_joiners_match_reference(self, name, data):
+        rs = load_builtin(name)
+        alphabet = sorted({ch for rule in rs.rules for ch in rule.lhs} | set(JOINER_SAMPLES))
         text = data.draw(st.text(alphabet=alphabet, max_size=30))
         assert transliterate(text, rs) == reference_transliterate(text, rs)
