@@ -407,6 +407,119 @@ class TestParserReuse:
         assert invoke(capsys, *argv) == (0, "POS\tupos_acc\t100.00\t0\n", "")
 
 
+PIN_GOLD = (
+    "# sent_id = 1\n"
+    "1\tмон\tмон\tPRON\t_\t_\t2\tnsubj:pass\t_\t_\n"
+    "2\tмолян\tмолемс\tVERB\t_\t_\t0\troot\t_\t_\n"
+    "\n"
+    "1\tшар\tшар\tNOUN\t_\t_\t0\troot\t_\t_\n"
+)
+PIN_FILES = {
+    "raw.txt": "мон  молян\n\n \nшар\n",
+    "gold.conllu": PIN_GOLD,
+    "p1.conllu": PIN_GOLD.replace("PRON\t_\t_\t2\tnsubj:pass", "NOUN\t_\t_\t2\tnsubj"),
+    "p2.conllu": PIN_GOLD.replace("\t2\tnsubj:pass", "\t0\tnsubj:pass"),
+    "gold.ner": "Мон\tB-PER\nмолян\tI-PER\nшар\tO\n\nМосква\tB-LOC\n",
+    "p1.ner": "Мон\tB-PER\nмолян\tO\nшар\tB-ORG\n\nМосква\tB-LOC\n",
+    "p2.ner": "Мон\tO\nмолян\tI-PER\nшар\tO\n\nМосква\tB-LOC\n",  # dangling I-PER
+}
+TRANSLIT = "translit --rules cyrillic_latin"
+PIN_CONLLU_OUT = (
+    "# sent_id = 1\n"
+    "1\tmon\t{mon}\tPRON\t_\t_\t2\tnsubj:pass\t_\t_\n"
+    "2\tmolyan\t{molems}\tVERB\t_\t_\t0\troot\t_\t_\n"
+    "\n"
+    "1\tshar\t{shar}\tNOUN\t_\t_\t0\troot\t_\t_\n"
+)
+PIN_CASES = [
+    (f"{TRANSLIT} --in raw.txt", 0, "mon  molyan\n\n \nshar\n"),
+    (
+        f"{TRANSLIT} --format conllu --in gold.conllu",
+        0,
+        PIN_CONLLU_OUT.format(mon="mon", molems="molems", shar="shar"),
+    ),
+    (
+        f"{TRANSLIT} --format conllu --no-lemmas --in gold.conllu",
+        0,
+        PIN_CONLLU_OUT.format(mon="мон", molems="молемс", shar="шар"),
+    ),
+    (f"{TRANSLIT} --format ner --in gold.ner", 0, "Mon\tB-PER\nmolyan\tI-PER\nshar\tO\n\nMoskva\tB-LOC\n"),
+    ("corpus-stats --in raw.txt", 0, "sentences\t2\ntokens\t3\n"),
+    ("corpus-stats --format raw --repair --in raw.txt", 0, "sentences\t2\ntokens\t3\n"),
+    ("corpus-stats --format conllu --in gold.conllu", 0, "sentences\t2\ntokens\t3\n"),
+    ("corpus-stats --format conllu --repair --in gold.conllu", 0, "sentences\t2\ntokens\t3\n"),
+    ("corpus-stats --format ner --in p2.ner", 1, ""),
+    ("corpus-stats --format ner --repair --in p2.ner", 0, "sentences\t2\ntokens\t4\n"),
+    ("eval pos --gold gold.conllu --pred p1.conllu", 0, "POS\tupos_acc\t66.67\t0\n"),
+    (
+        "eval pos --gold gold.conllu --pred p1.conllu --json",
+        0,
+        '{"task": "POS", "metric": "upos_acc", "value": 66.67, "seed": 0}\n',
+    ),
+    (
+        "eval pos --gold gold.conllu --pred p1.conllu --pred p2.conllu",
+        0,
+        "POS\tupos_acc\t66.67\t0\nPOS\tupos_acc\t100.00\t1\n"
+        "POS\tupos_acc\t83.33\tmean\nPOS\tupos_acc\t16.67\tsd\n",
+    ),
+    (
+        "eval dep --gold gold.conllu --pred p1.conllu --pred p2.conllu --seeds 3 4",
+        0,
+        "DEP\tuas\t100.00\t3\nDEP\tlas\t100.00\t3\nDEP\tuas\t66.67\t4\nDEP\tlas\t66.67\t4\n"
+        "DEP\tuas\t83.33\tmean\nDEP\tuas\t16.67\tsd\nDEP\tlas\t83.33\tmean\nDEP\tlas\t16.67\tsd\n",
+    ),
+    (
+        "eval dep --gold gold.conllu --pred p1.conllu --pred p2.conllu --json",
+        0,
+        '{"task": "DEP", "metric": "uas", "value": 100.0, "seed": 0}\n'
+        '{"task": "DEP", "metric": "las", "value": 100.0, "seed": 0}\n'
+        '{"task": "DEP", "metric": "uas", "value": 66.67, "seed": 1}\n'
+        '{"task": "DEP", "metric": "las", "value": 66.67, "seed": 1}\n'
+        '{"task": "DEP", "metric": "uas", "value": 83.33, "seed": "mean"}\n'
+        '{"task": "DEP", "metric": "uas", "value": 16.67, "seed": "sd"}\n'
+        '{"task": "DEP", "metric": "las", "value": 83.33, "seed": "mean"}\n'
+        '{"task": "DEP", "metric": "las", "value": 16.67, "seed": "sd"}\n',
+    ),
+    (
+        "eval dep --gold gold.conllu --pred p1.conllu --pred p2.conllu --strict-deprel",
+        0,
+        "DEP\tuas\t100.00\t0\nDEP\tlas\t66.67\t0\nDEP\tuas\t66.67\t1\nDEP\tlas\t66.67\t1\n"
+        "DEP\tuas\t83.33\tmean\nDEP\tuas\t16.67\tsd\nDEP\tlas\t66.67\tmean\nDEP\tlas\t0.00\tsd\n",
+    ),
+    (
+        "eval ner --gold gold.ner --pred p1.ner",
+        0,
+        "NER\tprecision\t33.33\t0\nNER\trecall\t50.00\t0\nNER\tf1\t40.00\t0\n",
+    ),
+    ("eval ner --gold gold.ner --pred p1.ner --pred p2.ner", 1, ""),
+    (
+        "eval ner --gold gold.ner --pred p1.ner --pred p2.ner --repair --json",
+        0,
+        '{"task": "NER", "metric": "precision", "value": 33.33, "seed": 0}\n'
+        '{"task": "NER", "metric": "recall", "value": 50.0, "seed": 0}\n'
+        '{"task": "NER", "metric": "f1", "value": 40.0, "seed": 0}\n'
+        '{"task": "NER", "metric": "precision", "value": 50.0, "seed": 1}\n'
+        '{"task": "NER", "metric": "recall", "value": 50.0, "seed": 1}\n'
+        '{"task": "NER", "metric": "f1", "value": 50.0, "seed": 1}\n'
+        '{"task": "NER", "metric": "precision", "value": 41.67, "seed": "mean"}\n'
+        '{"task": "NER", "metric": "precision", "value": 8.33, "seed": "sd"}\n'
+        '{"task": "NER", "metric": "recall", "value": 50.0, "seed": "mean"}\n'
+        '{"task": "NER", "metric": "recall", "value": 0.0, "seed": "sd"}\n'
+        '{"task": "NER", "metric": "f1", "value": 45.0, "seed": "mean"}\n'
+        '{"task": "NER", "metric": "f1", "value": 5.0, "seed": "sd"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("command, rc, out", PIN_CASES, ids=[c for c, _, _ in PIN_CASES])
+def test_outputs_pinned(tmp_path, monkeypatch, capsys, command, rc, out):
+    """Exact stdout and exit code of every format and task."""
+    for name, text in PIN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert invoke(capsys, *command.split())[:2] == (rc, out)
+
+
 class TestDeterminism:
     def test_same_argv_same_bytes(self, tmp_path, capsys):
         src = tmp_path / "a.txt"
