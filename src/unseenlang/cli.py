@@ -1,5 +1,9 @@
 """Command-line entry point wiring all modules into one pipeline tool.
 
+:data:`FORMATS` (format -> parser, transliterating writer, counted tokens)
+and :data:`TASKS` (task -> file format, scorer, reported scores) are the
+one place where a corpus format or an evaluation task is wired.
+
 Exit codes: 0 success, 1 data/validation error, 2 usage error. Diagnostics
 go to stderr, a data error prefixed with its input's path; data goes to
 stdout or the ``--out`` target (``-`` = stdout), only after every input
@@ -14,7 +18,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, NamedTuple
 
 from . import __version__, conllu, corpus, metrics, ner, scripts, splits, taxonomy, translit
 
@@ -36,11 +40,63 @@ def _open_input(path: str) -> Iterator[IO[str]]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+class _Format(NamedTuple):
+    parse: Callable[[IO[str], bool], list]  # (stream, repair) -> items
+    transliterate: Callable[[list, translit.RuleSet, bool], str]  # (items, rules, lemmas) -> text
+    token_lists: Callable[[list], list]  # what corpus-stats counts: one list per sentence
+
+
+# the entries look module functions up when called, so a wrapper set on a module
+# (perfbench's tracer sets them) sees every command's calls
+FORMATS = {
+    "raw": _Format(
+        lambda f, repair: [line for _, line in corpus.read_lines(f)],
+        lambda lines, rs, lemmas: "".join(translit.transliterate(line, rs) + "\n" for line in lines),
+        lambda lines: [tokens for line in lines if (tokens := line.split())],
+    ),
+    "conllu": _Format(
+        lambda f, repair: conllu.parse_conllu(f),
+        lambda sents, rs, lemmas: conllu.write_conllu(conllu.transliterate_conllu(sents, rs, lemmas)),
+        lambda sents: [s.tokens for s in sents],
+    ),
+    "ner": _Format(
+        lambda f, repair: ner.parse_ner(f, repair=repair),
+        lambda sents, rs, lemmas: ner.write_ner(ner.transliterate_ner(sents, rs)),
+        lambda sents: [s.tokens for s in sents],
+    ),
+}
+
+
+class _Task(NamedTuple):
+    fmt: str
+    score: Callable[[list, list, bool], object]  # (gold, pred, strict_deprel) -> score
+    metrics: tuple[tuple[str, str], ...]  # (metric name, score attribute)
+
+
+TASKS = {
+    "pos": _Task("conllu", lambda g, p, strict: metrics.eval_pos(g, p), (("upos_acc", "accuracy"),)),
+    "dep": _Task(
+        "conllu", lambda g, p, strict: metrics.eval_dep(g, p, strict), (("uas", "uas"), ("las", "las"))
+    ),
+    "ner": _Task(
+        "ner",
+        lambda g, p, strict: metrics.eval_ner(g, p),
+        (("precision", "precision"), ("recall", "recall"), ("f1", "f1")),
+    ),
+}
+
+
+def _read(path: str, fmt: str, repair: bool = False) -> list:
+    """The items of ``path`` parsed as format ``fmt``."""
+    with _open_input(path) as f:
+        return FORMATS[fmt].parse(f, repair)
 
 
 def _load_ruleset(spec: str, check: bool) -> translit.RuleSet:
@@ -55,35 +111,27 @@ def _load_ruleset(spec: str, check: bool) -> translit.RuleSet:
     return rs
 
 
-def _transliterate(path: str, fmt: str, rs, lemmas: bool) -> str:
-    with _open_input(path) as f:
-        if fmt == "raw":
-            lines = corpus.read_lines(f)
-            return "".join(translit.transliterate(line, rs) + "\n" for _, line in lines)
-        if fmt == "conllu":
-            sents = conllu.transliterate_conllu(conllu.parse_conllu(f), rs, lemmas=lemmas)
-            return conllu.write_conllu(sents)
-        return ner.write_ner(ner.transliterate_ner(ner.parse_ner(f), rs))
-
-
 def _cmd_translit(args) -> int:
     rs = _load_ruleset(args.rules, check=True)
-    inputs = args.inputs
-    if len(inputs) == 1:
-        _write_text(args.out, _transliterate(inputs[0], args.format, rs, not args.no_lemmas))
-        return 0
-    out_dir = Path(args.out)
-    if args.out == "-" or (out_dir.exists() and not out_dir.is_dir()):
-        raise ValueError("--out must be a directory when multiple inputs are given")
-    # each output is named after its input's file name, so two inputs must not share one
-    first_by_name: dict[str, str] = {}
-    for path in inputs:
-        name = Path(path).name
-        other = first_by_name.setdefault(name, path)
-        if other != path:
-            raise ValueError(f"{other} and {path} would both be written to {out_dir / name}")
+    inputs, out_dir = args.inputs, Path(args.out)
+    if len(inputs) > 1:
+        if args.out == "-" or (out_dir.exists() and not out_dir.is_dir()):
+            raise ValueError("--out must be a directory when multiple inputs are given")
+        # each output is named after its input's file name, so two inputs must not share one
+        first_by_name: dict[str, str] = {}
+        for path in inputs:
+            if path == "-":
+                raise ValueError("stdin (-) cannot be one of several inputs")
+            name = Path(path).name
+            other = first_by_name.setdefault(name, path)
+            if other != path:
+                raise ValueError(f"{other} and {path} would both be written to {out_dir / name}")
     # every input is read and transliterated before any output is written
-    results = {path: _transliterate(path, args.format, rs, not args.no_lemmas) for path in inputs}
+    fmt = FORMATS[args.format]
+    results = {path: fmt.transliterate(_read(path, args.format), rs, not args.no_lemmas) for path in inputs}
+    if len(inputs) == 1:
+        _write_text(args.out, results[inputs[0]])
+        return 0
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in results.items():
         (out_dir / Path(path).name).write_text(text, encoding="utf-8")
@@ -101,23 +149,13 @@ def _cmd_rules_validate(args) -> int:
 
 
 def _cmd_corpus_stats(args) -> int:
-    with _open_input(args.inp) as f:
-        if args.format == "conllu":
-            sents = conllu.parse_conllu(f)
-            n_tokens = sum(len(s.tokens) for s in sents)
-        elif args.format == "ner":
-            sents = ner.parse_ner(f, repair=args.repair)
-            n_tokens = sum(len(s.tokens) for s in sents)
-        else:
-            sents = [line for _, line in corpus.read_lines(f) if line.strip()]
-            n_tokens = sum(len(line.split()) for line in sents)
-    _write_text(args.out, f"sentences\t{len(sents)}\ntokens\t{n_tokens}\n")
+    token_lists = FORMATS[args.format].token_lists(_read(args.inp, args.format, args.repair))
+    _write_text(args.out, f"sentences\t{len(token_lists)}\ntokens\t{sum(map(len, token_lists))}\n")
     return 0
 
 
 def _cmd_dedup(args) -> int:
-    with _open_input(args.inp) as f:
-        lines = [line for _, line in corpus.read_lines(f)]
+    lines = _read(args.inp, "raw")
     kept = corpus.dedup_lines(lines)
     _write_text(args.out, "\n".join(kept) + ("\n" if kept else ""))
     print(f"kept {len(kept)} of {len(lines)} lines", file=sys.stderr)
@@ -164,64 +202,28 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _score_records(task: str, score) -> list[dict]:
-    if task == "pos":
-        return [{"task": "POS", "metric": "upos_acc", "value": score.accuracy}]
-    if task == "dep":
-        return [
-            {"task": "DEP", "metric": "uas", "value": score.uas},
-            {"task": "DEP", "metric": "las", "value": score.las},
-        ]
-    return [
-        {"task": "NER", "metric": "precision", "value": score.precision},
-        {"task": "NER", "metric": "recall", "value": score.recall},
-        {"task": "NER", "metric": "f1", "value": score.f1},
-    ]
-
-
 def _cmd_eval(args) -> int:
     preds = args.pred
     seeds = args.seeds if args.seeds else list(range(len(preds)))
     if len(seeds) != len(preds):
         raise ValueError("--seeds must list one seed per --pred file")
-
-    def parse(path):
-        with _open_input(path) as f:
-            if args.task == "ner":
-                return ner.parse_ner(f, repair=args.repair)
-            return conllu.parse_conllu(f)
-
-    gold = parse(args.gold)
-    records = []
-    for seed, pred_path in zip(seeds, preds):
-        pred = parse(pred_path)
-        if args.task == "pos":
-            score = metrics.eval_pos(gold, pred)
-        elif args.task == "dep":
-            score = metrics.eval_dep(gold, pred, strict_deprel=args.strict_deprel)
-        else:
-            score = metrics.eval_ner(gold, pred)
-        for rec in _score_records(args.task, score):
-            rec["seed"] = seed
-            records.append(rec)
+    task = TASKS[args.task]
+    gold = _read(args.gold, task.fmt, args.repair)
+    # each prediction is dropped once it is scored, so one is held at a time
+    scores = [task.score(gold, _read(path, task.fmt, args.repair), args.strict_deprel) for path in preds]
+    rows = [(name, getattr(s, attr), seed) for seed, s in zip(seeds, scores) for name, attr in task.metrics]
     if len(preds) > 1:
-        by_metric: dict[str, list[float]] = {}
-        for rec in records:
-            by_metric.setdefault(rec["metric"], []).append(rec["value"])
-        for name, values in by_metric.items():
-            agg = metrics.aggregate_runs(values)
-            task_name = records[0]["task"]
-            records.append({"task": task_name, "metric": name, "value": agg.mean, "seed": "mean"})
-            records.append({"task": task_name, "metric": name, "value": agg.sd, "seed": "sd"})
+        for name, attr in task.metrics:
+            agg = metrics.aggregate_runs(getattr(s, attr) for s in scores)
+            rows += [(name, agg.mean, "mean"), (name, agg.sd, "sd")]
+    records = [
+        {"task": args.task.upper(), "metric": name, "value": metrics.round_score(value), "seed": seed}
+        for name, value, seed in rows
+    ]
     if args.json:
-        body = "".join(
-            json.dumps({**r, "value": metrics.round_score(r["value"])}) + "\n" for r in records
-        )
+        body = "".join(json.dumps(r) + "\n" for r in records)
     else:
-        body = "".join(
-            f"{r['task']}\t{r['metric']}\t{metrics.round_score(r['value']):.2f}\t{r['seed']}\n"
-            for r in records
-        )
+        body = "".join(f"{r['task']}\t{r['metric']}\t{r['value']:.2f}\t{r['seed']}\n" for r in records)
     _write_text(args.out, body)
     return 0
 
@@ -246,14 +248,8 @@ def _cmd_categorize(args) -> int:
 
 
 def _cmd_langs(args) -> int:
-    if args.iso:
-        rec = corpus.lookup(args.iso)
-        _write_text(
-            args.out,
-            f"{rec.iso}\t{rec.name}\t{rec.script.value}\t{rec.family}\t{rec.sents}\t{rec.source}\n",
-        )
-    else:
-        _write_text(args.out, corpus.registry_tsv())
+    body = corpus.lookup(args.iso).to_line() + "\n" if args.iso else corpus.registry_tsv()
+    _write_text(args.out, body)
     return 0
 
 
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True, help="built-in ruleset name or rule-file path")
     p.add_argument("--in", dest="inputs", action="append", required=True, metavar="FILE")
     p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("raw", "conllu", "ner"), default="raw")
+    p.add_argument("--format", choices=tuple(FORMATS), default="raw")
     p.add_argument("--no-lemmas", action="store_true", help="leave CoNLL-U lemmas untouched")
     p.set_defaults(func=_cmd_translit)
 
@@ -284,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus-stats", help="sentence and token counts of a corpus")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("raw", "conllu", "ner"), default="raw")
+    p.add_argument("--format", choices=tuple(FORMATS), default="raw")
     p.add_argument("--repair", action="store_true", help="repair dangling IOB2 labels")
     p.set_defaults(func=_cmd_corpus_stats)
 
@@ -312,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("eval", help="score predictions against gold annotations")
-    p.add_argument("task", choices=("pos", "dep", "ner"))
+    p.add_argument("task", choices=tuple(TASKS))
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", action="append", required=True, metavar="FILE")
     p.add_argument("--seeds", type=int, nargs="+", help="seed label per prediction file")

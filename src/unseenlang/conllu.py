@@ -107,13 +107,17 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
     sentences: list[ConlluSentence] = []
     current = ConlluSentence()
     start_line = 1
+    token_lines: list[int] = []  # the line of each token of the current sentence
 
     def flush():
         if current.comments or current.tokens or current.mwt_ranges or current.empty_nodes:
             try:
                 current.check(strict=strict)
             except ConlluError as exc:
-                raise ConlluError(str(exc), start_line)
+                # ids were checked as read: an error naming a token is a head out of range
+                n = len(current.tokens)
+                bad = (ln for tok, ln in zip(current.tokens, token_lines) if not 0 <= tok.head <= n)
+                raise ConlluError(str(exc), next(bad, start_line))
             sentences.append(current)
 
     for lineno, line in read_lines(stream):
@@ -122,6 +126,7 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
             flush()
             current = ConlluSentence()
             start_line = lineno + 1
+            token_lines = []
             continue
         if line.startswith("#"):
             current.comments.append(line)
@@ -145,8 +150,9 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
             head = int(cols[6])
         except ValueError:
             raise ConlluError(f"non-integer id or head in {line!r}", lineno)
-        if idx <= 0:
-            raise ConlluError(f"token id must be positive, got {idx}", lineno)
+        if idx != len(current.tokens) + 1:
+            raise ConlluError(f"non-contiguous token ids: expected {len(current.tokens) + 1}, got {idx}", lineno)
+        token_lines.append(lineno)
         current.tokens.append(
             ConlluToken(idx, cols[1], cols[2], cols[3], cols[4], cols[5], head, cols[7], cols[8], cols[9])
         )

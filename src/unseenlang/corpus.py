@@ -82,6 +82,9 @@ class LanguageRecord:
     sents: int  # raw sentences available for unsupervised tuning
     source: str  # OSCAR | Wiki | Leipzig | Other
 
+    def to_line(self) -> str:
+        return f"{self.iso}\t{self.name}\t{self.script.value}\t{self.family}\t{self.sents}\t{self.source}"
+
 
 _L = ScriptClass.LATIN
 _C = ScriptClass.CYRILLIC
@@ -122,7 +125,5 @@ def lookup(iso: str) -> LanguageRecord:
 
 
 def registry_tsv() -> str:
-    lines = ["iso\tname\tscript\tfamily\tsents\tsource"]
-    for r in language_table():
-        lines.append(f"{r.iso}\t{r.name}\t{r.script.value}\t{r.family}\t{r.sents}\t{r.source}")
+    lines = ["iso\tname\tscript\tfamily\tsents\tsource"] + [r.to_line() for r in language_table()]
     return "\n".join(lines) + "\n"

@@ -95,22 +95,18 @@ class RunAggregate:
     sd: float
 
 
-def _check_alignment(gold: Sequence, pred: Sequence, counts) -> None:
+def _check_alignment(gold: Sequence, pred: Sequence) -> None:
     if len(gold) != len(pred):
-        raise AlignmentError(
-            f"gold has {len(gold)} sentences, predictions have {len(pred)}"
-        )
-    for i, (g, p) in enumerate(zip(gold, pred)):
-        if counts(g) != counts(p):
-            raise AlignmentError(
-                f"sentence {i + 1}: gold has {counts(g)} tokens, prediction has {counts(p)}"
-            )
+        raise AlignmentError(f"gold has {len(gold)} sentences, predictions have {len(pred)}")
+    for i, (g, p) in enumerate(zip(gold, pred), 1):
+        if len(g.tokens) != len(p.tokens):
+            raise AlignmentError(f"sentence {i}: gold has {len(g.tokens)} tokens, prediction has {len(p.tokens)}")
 
 
 def eval_pos(gold: Sequence[ConlluSentence], pred: Sequence[ConlluSentence]) -> PosScore:
     """UPOS accuracy over syntactic words (multiword-token range lines and
     empty nodes do not count)."""
-    _check_alignment(gold, pred, lambda s: len(s.tokens))
+    _check_alignment(gold, pred)
     correct = total = 0
     for g, p in zip(gold, pred):
         for gt, pt in zip(g.tokens, p.tokens):
@@ -130,7 +126,7 @@ def eval_dep(
 ) -> DepScore:
     """UAS = share of tokens with the correct head; LAS additionally
     requires the correct dependency relation."""
-    _check_alignment(gold, pred, lambda s: len(s.tokens))
+    _check_alignment(gold, pred)
     head_ok = labeled_ok = total = 0
     for g, p in zip(gold, pred):
         for gt, pt in zip(g.tokens, p.tokens):
@@ -148,7 +144,7 @@ def eval_dep(
 def eval_ner(gold: Sequence[NerSentence], pred: Sequence[NerSentence]) -> NerScore:
     """Span-level NER scoring: a predicted span is a true positive iff its
     boundaries and type both match a gold span exactly."""
-    _check_alignment(gold, pred, lambda s: len(s.tokens))
+    _check_alignment(gold, pred)
     tp = fp = fn = 0
     for g, p in zip(gold, pred):
         gold_spans = set(extract_spans(g.labels))

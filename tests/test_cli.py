@@ -116,6 +116,21 @@ class TestTranslit:
         )
         assert not out_dir.exists()
 
+    def test_stdin_among_multiple_inputs_refused(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "a" / "x.txt"
+        src.parent.mkdir()
+        src.write_text("ша\n", encoding="utf-8")
+        stdin = io.StringIO("мон\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        out_dir = tmp_path / "d"
+        rc, out, err = invoke(
+            capsys,
+            "translit", "--rules", "cyrillic_latin", "--in", "-", "--in", str(src), "--out", str(out_dir),
+        )
+        assert rc == 1 and out == ""
+        assert err == "unseenlang: error: stdin (-) cannot be one of several inputs\n"
+        assert stdin.tell() == 0 and not out_dir.exists()
+
     def test_multiple_inputs_all_or_nothing(self, tmp_path, capsys):
         (tmp_path / "ok.conllu").write_text(CONLLU, encoding="utf-8")
         (tmp_path / "bad.conllu").write_text("1\tx\n", encoding="utf-8")
@@ -135,6 +150,12 @@ class TestTranslit:
         [
             ("a.conllu", b"1\tx\n", "conllu", "line 1: expected 10 columns, got 2"),
             ("a.ner", b"x\tO\ny\tI-PER\n", "ner", "line 2: dangling I-PER after O (sentence 1)"),
+            (
+                "b.conllu",
+                b"1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n3\tb\tb\tX\t_\t_\t1\tdep\t_\t_\n",
+                "conllu",
+                "line 2: non-contiguous token ids: expected 2, got 3",
+            ),
             ("a.txt", b"\xff\n", "raw", "'utf-8' codec can't decode byte 0xff in position 0"),
         ],
     )

@@ -34,6 +34,9 @@ WITH_EMPTY_NODE = (
     "2\tc\tc\tX\t_\t_\t1\tdep\t_\t_\n"
 )
 
+# one token line; format with its id and head
+ROW = "{}\ta\ta\tX\t_\t_\t{}\tdep\t_\t_\n"
+
 
 class TestParse:
     def test_minimal(self):
@@ -71,6 +74,21 @@ class TestParse:
         bad = "1\ta\ta\tX\t_\t_\t5\tdep\t_\t_\n"
         with pytest.raises(ConlluError, match="out of range"):
             parse_conllu(bad)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (ROW.format(1, 0) + ROW.format(3, 1), "line 2: non-contiguous token ids: expected 2, got 3"),
+            ("# c\n" + ROW.format(0, 0), "line 2: non-contiguous token ids: expected 1, got 0"),
+            (ROW.format(1, 0) + "\n" + ROW.format(1, 0) + ROW.format(1, 1), "line 4: non-contiguous token ids"),
+            ("# c\n" + ROW.format(1, 0) + ROW.format(2, 5) + ROW.format(3, 7), "line 3: head 5 out of range"),
+            ("\n" + ROW.format(1, 0) + ROW.format(2, -1), "line 3: head -1 out of range"),
+            ("1-3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + ROW.format(1, 0) + ROW.format(2, 1), "line 1: mwt range 1-3"),
+        ],
+    )
+    def test_error_names_offending_line(self, text, message):
+        with pytest.raises(ConlluError, match=f"^{message}"):
+            parse_conllu(text)
 
     def test_strict_requires_single_root(self):
         bad = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n2\tb\tb\tX\t_\t_\t0\troot\t_\t_\n"
