@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .corpus import LineError, read_lines
 from .translit import RuleSet, transliterate
@@ -32,8 +32,23 @@ class ConlluError(LineError):
     """Malformed CoNLL-U."""
 
 
-@dataclass(frozen=True)
-class ConlluToken:
+class _SentenceError(ConlluError):
+    """A :meth:`ConlluSentence.check` failure. ``where`` is ``("tokens", i)``
+    or ``("mwt_ranges", i)`` for the offending item, or None when the fault
+    is the sentence's as a whole."""
+
+    def __init__(self, message: str, where: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.where = where
+
+
+class ConlluToken(NamedTuple):
+    """One syntactic word line; ``id`` and ``head`` are ints.
+
+    A :class:`typing.NamedTuple`: immutable, it compares equal to and hashes
+    like the plain tuple of its ten fields, and it unpacks like one.
+    """
+
     id: int
     form: str
     lemma: str
@@ -46,12 +61,7 @@ class ConlluToken:
     misc: str
 
     def to_line(self) -> str:
-        return "\t".join(
-            (
-                str(self.id), self.form, self.lemma, self.upos, self.xpos,
-                self.feats, str(self.head), self.deprel, self.deps, self.misc,
-            )
-        )
+        return "%d\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\t%s" % self
 
 
 @dataclass(frozen=True)
@@ -80,55 +90,64 @@ class ConlluSentence:
 
     def check(self, strict: bool = False) -> None:
         n = len(self.tokens)
-        for i, tok in enumerate(self.tokens, start=1):
-            if tok.id != i:
-                raise ConlluError(f"non-contiguous token ids: expected {i}, got {tok.id}")
-            if not 0 <= tok.head <= n:
-                raise ConlluError(f"head {tok.head} out of range for {n} tokens")
-        for mwt in self.mwt_ranges:
+        # tok[0] is the id and tok[6] the head: a tuple index is read faster than a field name
+        for i, tok in enumerate(self.tokens):
+            if tok[0] != i + 1:
+                raise _SentenceError(f"non-contiguous token ids: expected {i + 1}, got {tok[0]}", ("tokens", i))
+            if not 0 <= tok[6] <= n:
+                raise _SentenceError(f"head {tok[6]} out of range for {n} tokens", ("tokens", i))
+        for i, mwt in enumerate(self.mwt_ranges):
             if not (1 <= mwt.start <= mwt.end <= n):
-                raise ConlluError(f"mwt range {mwt.start}-{mwt.end} outside 1..{n}")
-        spans = sorted((m.start, m.end) for m in self.mwt_ranges)
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+                raise _SentenceError(f"mwt range {mwt.start}-{mwt.end} outside 1..{n}", ("mwt_ranges", i))
+        spans = sorted((m.start, m.end, i) for i, m in enumerate(self.mwt_ranges))
+        for (s1, e1, i1), (s2, e2, i2) in zip(spans, spans[1:]):
             if s2 <= e1:
-                raise ConlluError(f"overlapping mwt ranges {s1}-{e1} and {s2}-{e2}")
+                raise _SentenceError(
+                    f"overlapping mwt ranges {s1}-{e1} and {s2}-{e2}", ("mwt_ranges", max(i1, i2))
+                )
         if strict:
             roots = [t for t in self.tokens if t.head == 0]
             if n and len(roots) != 1:
-                raise ConlluError(f"expected exactly one root, found {len(roots)}")
+                raise _SentenceError(f"expected exactly one root, found {len(roots)}")
 
 
 def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSentence]:
     """Parse a CoNLL-U stream (or string) into sentences, each line cut by
     :func:`~unseenlang.corpus.read_lines` and normalised to NFC. Comment
     lines are preserved verbatim; ``a-b`` range lines go to ``mwt_ranges``;
-    ``a.b`` empty-node lines are kept as pass-through text.
+    ``a.b`` empty-node lines are kept as pass-through text. An error names
+    the line of the offending token or range, or the sentence's first line.
     """
+    normalize = unicodedata.normalize
+    new = tuple.__new__
     sentences: list[ConlluSentence] = []
     current = ConlluSentence()
+    tokens = current.tokens
     start_line = 1
-    token_lines: list[int] = []  # the line of each token of the current sentence
+    # the line of each token and of each range of the current sentence
+    token_lines: list[int] = []
+    mwt_lines: list[int] = []
 
     def flush():
-        if current.comments or current.tokens or current.mwt_ranges or current.empty_nodes:
+        if current.comments or tokens or current.mwt_ranges or current.empty_nodes:
             try:
                 current.check(strict=strict)
-            except ConlluError as exc:
-                # ids were checked as read: an error naming a token is a head out of range
-                n = len(current.tokens)
-                bad = (ln for tok, ln in zip(current.tokens, token_lines) if not 0 <= tok.head <= n)
-                raise ConlluError(str(exc), next(bad, start_line))
+            except _SentenceError as exc:
+                lines = {"tokens": token_lines, "mwt_ranges": mwt_lines}
+                raise ConlluError(str(exc), lines[exc.where[0]][exc.where[1]] if exc.where else start_line)
             sentences.append(current)
 
     for lineno, line in read_lines(stream):
-        line = unicodedata.normalize("NFC", line)
-        if line == "":
+        line = normalize("NFC", line)
+        if not line:
             flush()
             current = ConlluSentence()
+            tokens = current.tokens
             start_line = lineno + 1
             token_lines = []
+            mwt_lines = []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             current.comments.append(line)
             continue
         cols = line.split("\t")
@@ -140,22 +159,21 @@ def parse_conllu(stream: IO[str] | str, strict: bool = False) -> list[ConlluSent
                 start, end = (int(x) for x in tok_id.split("-"))
             except ValueError:
                 raise ConlluError(f"bad range id {tok_id!r}", lineno)
+            mwt_lines.append(lineno)
             current.mwt_ranges.append(MwtRange(start, end, cols[1], cols[9]))
             continue
         if "." in tok_id:
-            current.empty_nodes.append((len(current.tokens), line))
+            current.empty_nodes.append((len(tokens), line))
             continue
         try:
-            idx = int(tok_id)
-            head = int(cols[6])
+            cols[0] = idx = int(tok_id)
+            cols[6] = int(cols[6])
         except ValueError:
             raise ConlluError(f"non-integer id or head in {line!r}", lineno)
-        if idx != len(current.tokens) + 1:
-            raise ConlluError(f"non-contiguous token ids: expected {len(current.tokens) + 1}, got {idx}", lineno)
+        if idx != len(tokens) + 1:
+            raise ConlluError(f"non-contiguous token ids: expected {len(tokens) + 1}, got {idx}", lineno)
         token_lines.append(lineno)
-        current.tokens.append(
-            ConlluToken(idx, cols[1], cols[2], cols[3], cols[4], cols[5], head, cols[7], cols[8], cols[9])
-        )
+        tokens.append(new(ConlluToken, cols))  # the column count is checked above
     flush()
     return sentences
 
@@ -185,15 +203,13 @@ def transliterate_conllu(
 ) -> list[ConlluSentence]:
     """Transliterate form (and, unless disabled, lemma) fields, including
     multiword-token surface forms. All other annotation is untouched."""
+    new = tuple.__new__
     out = []
     for sent in sentences:
+        # (id, form, lemma) + the other seven fields, made a token without a keyword call
         tokens = [
-            ConlluToken(
-                tok.id,
-                transliterate(tok.form, rs),
-                transliterate(tok.lemma, rs) if lemmas else tok.lemma,
-                tok.upos, tok.xpos, tok.feats, tok.head, tok.deprel, tok.deps, tok.misc,
-            )
+            new(ConlluToken, (tok[0], transliterate(tok[1], rs),
+                              transliterate(tok[2], rs) if lemmas else tok[2]) + tok[3:])
             for tok in sent.tokens
         ]
         mwts = [

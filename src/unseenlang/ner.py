@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .corpus import LineError, read_lines
 from .translit import RuleSet, transliterate_tokens
@@ -30,9 +30,12 @@ class NerError(LineError):
     """Malformed IOB2 input."""
 
 
-@dataclass(frozen=True)
-class Span:
-    """Entity span: token indices [start, end] inclusive, plus type."""
+class Span(NamedTuple):
+    """Entity span: token indices [start, end] inclusive, plus type.
+
+    A :class:`typing.NamedTuple`: immutable, it compares equal to and hashes
+    like the plain tuple ``(start, end, type)``, and it unpacks like one.
+    """
 
     start: int
     end: int

@@ -36,6 +36,8 @@ WITH_EMPTY_NODE = (
 
 # one token line; format with its id and head
 ROW = "{}\ta\ta\tX\t_\t_\t{}\tdep\t_\t_\n"
+# one multiword-token range line; format with its range
+RANGE = "{}\tx\t_\t_\t_\t_\t_\t_\t_\t_\n"
 
 
 class TestParse:
@@ -84,6 +86,10 @@ class TestParse:
             ("# c\n" + ROW.format(1, 0) + ROW.format(2, 5) + ROW.format(3, 7), "line 3: head 5 out of range"),
             ("\n" + ROW.format(1, 0) + ROW.format(2, -1), "line 3: head -1 out of range"),
             ("1-3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n" + ROW.format(1, 0) + ROW.format(2, 1), "line 1: mwt range 1-3"),
+            ("# c\n" + ROW.format(1, 0) + RANGE.format("2-4") + ROW.format(2, 1) + ROW.format(3, 1),
+             "line 3: mwt range 2-4 outside 1..3"),
+            (RANGE.format("1-2") + ROW.format(1, 0) + RANGE.format("2-3") + ROW.format(2, 1) + ROW.format(3, 1),
+             "line 3: overlapping mwt ranges 1-2 and 2-3"),
         ],
     )
     def test_error_names_offending_line(self, text, message):
@@ -201,3 +207,69 @@ class TestProperties:
                 assert (ta.id, ta.upos, ta.xpos, ta.feats, ta.head, ta.deprel, ta.deps, ta.misc) == (
                     tb.id, tb.upos, tb.xpos, tb.feats, tb.head, tb.deprel, tb.deps, tb.misc
                 )
+
+
+def tab_join(tok: ConlluToken) -> str:
+    """A token line as the fields joined by tabs, ids and heads by ``str``."""
+    return "\t".join(
+        (
+            str(tok.id), tok.form, tok.lemma, tok.upos, tok.xpos,
+            tok.feats, str(tok.head), tok.deprel, tok.deps, tok.misc,
+        )
+    )
+
+
+# decimal digit sets that int() reads; none of them is changed by NFC
+DIGITS = ["0123456789", "٠١٢٣٤٥٦٧٨٩", "۰۱۲۳۴۵۶۷۸۹", "०१२३४५६७८९", "０１２３４５６７８９"]
+# any column text but a tab or a line break
+fields = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=4)
+
+
+@st.composite
+def written_int(draw, value: int) -> str:
+    """``value`` as a CoNLL-U column that int() reads: any digit set, leading
+    zeros, a plus sign and surrounding spaces."""
+    digits = draw(st.sampled_from(DIGITS))
+    text = "".join(digits[int(d)] for d in str(value))
+    text = digits[0] * draw(st.integers(0, 2)) + text
+    return draw(st.sampled_from(["", " ", "+"])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def written_sentence(draw) -> str:
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for i in range(1, n + 1):
+        cols = [draw(fields) for _ in range(10)]
+        cols[0] = draw(written_int(i))
+        cols[6] = draw(written_int(draw(st.integers(0, n))))
+        rows.append("\t".join(cols) + "\n")
+    return "".join(rows)
+
+
+class TestTokenContract:
+    def test_immutable(self):
+        tok = parse_conllu(SIMPLE)[0].tokens[0]
+        with pytest.raises(AttributeError):
+            tok.form = "x"
+
+    def test_equal_to_and_hashed_like_its_tuple(self):
+        tok = parse_conllu(SIMPLE)[0].tokens[0]
+        plain = (1, "мон", "мон", "PRON", "_", "_", 2, "nsubj", "_", "_")
+        assert tok == plain and hash(tok) == hash(plain)
+        tok_id, form, *_ = tok
+        assert (tok_id, form) == (1, "мон")
+
+    def test_transliterate_returns_tokens(self):
+        rs = load_builtin("cyrillic_latin")
+        for lemmas in (True, False):
+            out = transliterate_conllu(parse_conllu(SIMPLE + "\n" + WITH_MWT), rs, lemmas=lemmas)
+            assert all(type(tok) is ConlluToken for sent in out for tok in sent.tokens)
+
+    @settings(max_examples=60)
+    @given(written_sentence())
+    def test_to_line_matches_tab_join(self, text):
+        (sent,) = parse_conllu(text)
+        for tok in sent.tokens:
+            assert type(tok.id) is int and type(tok.head) is int
+            assert tok.to_line().encode("utf-8") == tab_join(tok).encode("utf-8")

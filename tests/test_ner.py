@@ -107,6 +107,14 @@ class TestSpans:
     def test_no_spans(self):
         assert extract_spans(["O", "O"]) == []
 
+    def test_span_is_its_tuple(self):
+        span = Span(1, 2, "LOC")
+        assert span == (1, 2, "LOC") and hash(span) == hash((1, 2, "LOC"))
+        start, end, etype = span
+        assert (start, end, etype) == (1, 2, "LOC")
+        with pytest.raises(AttributeError):
+            span.type = "PER"
+
 
 class TestTransliterate:
     def test_labels_intact(self):
