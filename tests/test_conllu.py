@@ -227,12 +227,11 @@ fields = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categori
 
 @st.composite
 def written_int(draw, value: int) -> str:
-    """``value`` as a CoNLL-U column that int() reads: any digit set, leading
-    zeros, a plus sign and surrounding spaces."""
+    """``value`` as a CoNLL-U column that int() reads: any digit set, with
+    leading zeros."""
     digits = draw(st.sampled_from(DIGITS))
     text = "".join(digits[int(d)] for d in str(value))
-    text = digits[0] * draw(st.integers(0, 2)) + text
-    return draw(st.sampled_from(["", " ", "+"])) + text + draw(st.sampled_from(["", " "]))
+    return digits[0] * draw(st.integers(0, 2)) + text
 
 
 @st.composite

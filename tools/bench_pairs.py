@@ -1,25 +1,27 @@
 """Compare two revisions on the benchmark in alternating pairs and write the
 result as a ``BENCH_<n>.json`` file.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
-        --seed0 1400 --trace-workload eval-seeds --work /tmp/pairs --out BENCH_14.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --seed0 1400 \\
+        --trace-workload eval-seeds --work /tmp/pairs --out BENCH_14.json
 
-Each revision is unpacked with ``git archive`` into its own directory under
+Each commit is unpacked with ``git archive`` into its own directory under
 ``--work``, and ``perfbench/run.py`` is run from there, so both sides run
-the benchmark code of their own revision. Any tree-ish works as a
-revision, for example ``$(git write-tree)`` for what is staged. For each
-workload, pair ``k`` runs both sides on seed ``seed0 + k``, the parent first
-when ``k`` is even. Each side's runs are summarised by their median and
-quartiles (``statistics.quantiles(n=4)``, exclusive method), and each
-metric counts the pairs the change won, ties counting for neither. A
-metric's ``gain`` is true when the change won at least nine tenths of the
-pairs and its median is better than the parent's by more than the
-distance between the parent's quartiles; its ``regression`` is true when
-its median is worse than the parent's by more than the bound in the
-change's ``BENCHMARK.json``. A traced pair (``--trace 1``) on seed
-``seed0`` is then run for each ``--trace-workload``. The output file is
-rewritten after every workload, so a stopped comparison keeps what it
-finished.
+the benchmark code of their own commit. Every workload in the change's
+``BENCHMARK.json`` gets ten pairs of runs of its ``run_seconds``: pair
+``k`` runs both sides on seed ``seed0 + k``, the parent first when ``k``
+is even. Each side's runs are summarised by their median and quartiles
+(``statistics.quantiles(n=4)``, exclusive method), and each metric counts
+the pairs the change won, ties counting for neither. A metric's ``gain``
+is true when the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than the distance between the
+parent's quartiles. Its ``regression`` is true when its median is worse
+than the parent's by more than the metric's bound. Otherwise, for a
+metric with no gain, it is ``"unresolved"`` when the parent's quartile
+spread, as a share of its median, is wider than the bound and not every
+run of the change is better than every run of the parent; it is false
+in every other case. A traced pair (``--trace 1``) on seed ``seed0`` is
+then run for each ``--trace-workload``. The output file is rewritten
+after every workload, so a stopped comparison keeps what it finished.
 
 Standard library only; needs ``git`` on the path.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -37,6 +40,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -72,8 +76,16 @@ def compare(spec: dict, results: dict[str, list[dict]]) -> dict:
     parent, change = summary(values["parent"]), summary(values["change"])
     sign = 1 if higher else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-    pairs = len(values["parent"])
-    gain = sign * (change["median"] - parent["median"])
+    diff = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    gain = won >= 0.9 * PAIRS and diff > spread
+    if -diff > spec["bound"] * parent["median"]:
+        regression: bool | str = True
+    elif (not gain and spread > spec["bound"] * parent["median"]
+          and min(sign * c for c in values["change"]) <= max(sign * p for p in values["parent"])):
+        regression = "unresolved"
+    else:
+        regression = False
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -81,8 +93,8 @@ def compare(spec: dict, results: dict[str, list[dict]]) -> dict:
         "parent": parent,
         "change": change,
         "change_won": won,
-        "gain": won >= 0.9 * pairs and gain > parent["q3"] - parent["q1"],
-        "regression": -gain > spec["bound"] * parent["median"],
+        "gain": gain,
+        "regression": regression,
     }
 
 
@@ -93,14 +105,9 @@ def failed(results: list[dict]) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="revision measured as the parent")
-    ap.add_argument("--change", required=True, help="revision measured as the change")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--parent", required=True, help="commit measured as the parent")
+    ap.add_argument("--change", required=True, help="commit measured as the change")
     ap.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, help="measured time per run "
-                    "(default: run_seconds of the change's BENCHMARK.json)")
-    ap.add_argument("--workload", action="append",
-                    help="workload to compare (repeatable; default: every one in BENCHMARK.json)")
     ap.add_argument("--trace-workload", action="append", default=[],
                     help="workload that also gets one traced pair (repeatable)")
     ap.add_argument("--work", type=Path, required=True,
@@ -109,20 +116,17 @@ def main() -> int:
     ap.add_argument("--note", default="", help="what the change does, for the 'change' field")
     ap.add_argument("--claim", default="none", help="the gain the change claims, if any")
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     dirs = {side: args.work / side for side in SIDES}
     ids = {side: unpack(rev, dirs[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    last = args.seed0 + args.pairs - 1
+    seconds = bench["run_seconds"]
+    last = args.seed0 + PAIRS - 1
     out = {
         "change": args.note,
         "parent": ids["parent"],
         "change_rev": ids["change"],
-        "machine": f"{platform.machine()}, {platform.python_implementation()} "
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.python_implementation()} "
                    f"{platform.python_version()}",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "pairs": f"seeds {args.seed0}-{last}; the parent runs first on even seeds",
@@ -134,9 +138,9 @@ def main() -> int:
     def write() -> None:
         args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
 
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         results: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.seed0 + k
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 started = time.monotonic()
@@ -145,7 +149,7 @@ def main() -> int:
                       f"correct {results[side][-1]['correct']}", file=sys.stderr)
         correct = all(r["correct"] for side in SIDES for r in results[side])
         out["workloads"][workload] = {
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "seeds": f"{args.seed0}-{last}",
             "correct": correct,
             "failed": {side: failed(results[side]) for side in SIDES},
